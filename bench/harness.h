@@ -187,8 +187,6 @@ retwis::DriverResult RunRealNetExperiment(retwis::OpType op,
 /// transport exists to shrink.
 struct SaturationConfig {
   int net_threads = 1;
-  std::string backend = "epoll";  // epoll | uring (server may fall back)
-  bool coalesce = true;           // false = write-per-response baseline
   int connections = 4;
   int window = 64;                // pipelined requests per connection
   size_t payload_bytes = 16;
@@ -204,7 +202,6 @@ struct SaturationResult {
   /// Server-side (data syscalls + poll waits) / responses, diffed from
   /// admin.stats snapshots around the measure window.
   double syscalls_per_rpc = 0;
-  std::string backend;  // server-reported; uring may fall back to epoll
   int reactors = 0;
   uint64_t completed = 0;
   uint64_t errors = 0;

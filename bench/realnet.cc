@@ -173,21 +173,6 @@ uint64_t StatValue(const std::string& stats, const std::string& key) {
   return std::strtoull(stats.c_str() + pos + needle.size(), nullptr, 10);
 }
 
-std::string StatString(const std::string& stats, const std::string& key) {
-  std::string needle = key + "=";
-  size_t pos = stats.rfind("\n" + needle);
-  if (pos != std::string::npos) {
-    pos += 1;
-  } else if (stats.rfind(needle, 0) == 0) {
-    pos = 0;
-  } else {
-    return "";
-  }
-  size_t start = pos + needle.size();
-  size_t end = stats.find('\n', start);
-  return stats.substr(start, end == std::string::npos ? end : end - start);
-}
-
 }  // namespace
 
 SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
@@ -196,11 +181,7 @@ SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
   ServerProcess server;
   SpawnWithArgs(
       {net.server_bin, "--port=" + std::to_string(net.port),
-       "--net-threads=" + std::to_string(config.net_threads),
-       "--net-backend=" + config.backend,
-       std::string("--net-flush=") +
-           (config.coalesce ? "coalesce" : "immediate"),
-       "--lanes=2"},
+       "--net-threads=" + std::to_string(config.net_threads), "--lanes=2"},
       &server);
   const std::string address = "127.0.0.1:" + std::to_string(server.port);
 
@@ -313,7 +294,6 @@ SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
       d_responses > 0
           ? static_cast<double>(d_syscalls + d_waits) / static_cast<double>(d_responses)
           : 0;
-  result.backend = StatString(*after, "net_backend");
   result.reactors = static_cast<int>(StatValue(*after, "net_reactors"));
 
   {

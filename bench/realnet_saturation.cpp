@@ -3,58 +3,48 @@
 // Spawns one lambdastore-server per arm and floods it with tiny "ping"
 // echoes from a raw-socket pipelining loadgen (see
 // bench::RunRealNetSaturation), so transport costs — syscalls, frame
-// copies, reactor wakeups — dominate and the arms isolate what the
-// sharded/coalesced transport changed:
+// copies, reactor wakeups — dominate. Every arm runs the one transport
+// path (epoll, end-of-iteration writev coalescing); the arms sweep the
+// reactor count:
 //
-//   baseline   1 reactor, epoll, write-per-response (the pre-sharding
-//              transport behavior)
-//   coalesce1  1 reactor, epoll, end-of-iteration writev coalescing
-//   coalesce4  4 reactors (SO_REUSEPORT), epoll, coalescing
-//   uring4     4 reactors, io_uring poller, coalescing — skipped
-//              cleanly when the kernel/sandbox lacks io_uring
+//   coalesce1  1 reactor
+//   coalesce4  4 reactors (SO_REUSEPORT)
 //
 // One JSON line per arm:
 //   {"experiment":"A13","arm":"coalesce4","net_threads":4,
-//    "backend":"epoll","flush":"coalesce","connections":4,"window":64,
+//    "connections":4,"window":64,
 //    "rpcs_per_sec":...,"p50_us":...,"p99_us":...,
 //    "syscalls_per_rpc":...,"completed":...,"errors":...}
 //
-// --smoke (the realnet_smoke ctest): shortened windows, runs the
-// baseline and coalesce4 arms, and fails if the coalesced writev path
-// spends >= 1.5 syscalls per RPC — the regression guard on the flush
-// coalescing this PR exists for.
+// --smoke (the realnet_smoke ctest): shortened windows, runs only the
+// coalesce4 arm. Every run fails if an arm spends >= 1.5 syscalls per
+// RPC or sees any error.
 #include <string.h>
 
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "bench/harness.h"
-#include "net/poller.h"
 
 namespace {
 
 struct Arm {
   const char* name;
   int net_threads;
-  const char* backend;
-  bool coalesce;
 };
 
 lo::bench::SaturationResult RunArm(const Arm& arm,
                                    const lo::bench::SaturationConfig& base) {
   lo::bench::SaturationConfig config = base;
   config.net_threads = arm.net_threads;
-  config.backend = arm.backend;
-  config.coalesce = arm.coalesce;
   lo::bench::SaturationResult result = lo::bench::RunRealNetSaturation(config);
   std::printf(
       "{\"experiment\":\"A13\",\"arm\":\"%s\",\"net_threads\":%d,"
-      "\"backend\":\"%s\",\"flush\":\"%s\",\"connections\":%d,\"window\":%d,"
+      "\"connections\":%d,\"window\":%d,"
       "\"rpcs_per_sec\":%.0f,\"p50_us\":%.0f,\"p99_us\":%.0f,"
       "\"syscalls_per_rpc\":%.3f,\"completed\":%llu,\"errors\":%llu}\n",
-      arm.name, result.reactors, result.backend.c_str(),
-      arm.coalesce ? "coalesce" : "immediate", config.connections,
-      config.window, result.rpcs_per_sec, result.p50_us, result.p99_us,
+      arm.name, result.reactors, config.connections, config.window,
+      result.rpcs_per_sec, result.p50_us, result.p99_us,
       result.syscalls_per_rpc,
       static_cast<unsigned long long>(result.completed),
       static_cast<unsigned long long>(result.errors));
@@ -79,47 +69,24 @@ int main(int argc, char** argv) {
     base.connections = 2;
   }
 
-  const Arm kBaseline = {"baseline", 1, "epoll", false};
-  const Arm kCoalesce1 = {"coalesce1", 1, "epoll", true};
-  const Arm kCoalesce4 = {"coalesce4", 4, "epoll", true};
-  const Arm kUring4 = {"uring4", 4, "uring", true};
+  const Arm kCoalesce1 = {"coalesce1", 1};
+  const Arm kCoalesce4 = {"coalesce4", 4};
+  std::vector<Arm> arms;
+  if (!smoke) arms.push_back(kCoalesce1);
+  arms.push_back(kCoalesce4);
 
-  lo::bench::SaturationResult baseline = RunArm(kBaseline, base);
-  lo::bench::SaturationResult coalesce4{};
-  if (smoke) {
-    coalesce4 = RunArm(kCoalesce4, base);
-  } else {
-    RunArm(kCoalesce1, base);
-    coalesce4 = RunArm(kCoalesce4, base);
-    if (lo::net::UringAvailable()) {
-      RunArm(kUring4, base);
-    } else {
-      std::printf(
-          "{\"experiment\":\"A13\",\"arm\":\"uring4\",\"skipped\":"
-          "\"io_uring unavailable on this kernel/sandbox\"}\n");
+  int failures = 0;
+  for (const Arm& arm : arms) {
+    lo::bench::SaturationResult result = RunArm(arm, base);
+    if (result.syscalls_per_rpc >= 1.5) {
+      std::fprintf(stderr, "FAIL: %s syscalls_per_rpc %.3f >= 1.5\n", arm.name,
+                   result.syscalls_per_rpc);
+      failures++;
     }
-    double speedup = baseline.rpcs_per_sec > 0
-                         ? coalesce4.rpcs_per_sec / baseline.rpcs_per_sec
-                         : 0;
-    std::printf(
-        "{\"experiment\":\"A13\",\"summary\":1,\"speedup_vs_baseline\":%.2f,"
-        "\"baseline_syscalls_per_rpc\":%.3f,"
-        "\"coalesced_syscalls_per_rpc\":%.3f}\n",
-        speedup, baseline.syscalls_per_rpc, coalesce4.syscalls_per_rpc);
+    if (result.completed == 0 || result.errors > 0) {
+      std::fprintf(stderr, "FAIL: %s errors or no completions\n", arm.name);
+      failures++;
+    }
   }
-
-  // Acceptance guard: the coalesced writev path must actually coalesce.
-  if (coalesce4.syscalls_per_rpc >= 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: coalesced syscalls_per_rpc %.3f >= 1.5 "
-                 "(baseline %.3f)\n",
-                 coalesce4.syscalls_per_rpc, baseline.syscalls_per_rpc);
-    return 1;
-  }
-  if (coalesce4.completed == 0 || coalesce4.errors > 0 ||
-      baseline.errors > 0) {
-    std::fprintf(stderr, "FAIL: errors or no completions\n");
-    return 1;
-  }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

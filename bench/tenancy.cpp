@@ -141,7 +141,8 @@ struct Node {
 // which would overload even the protected arm.
 double MeasureCapacity() {
   Node warm(nullptr);
-  warm.node->Invoke(Oid(kVictim, 0), "spin", "").get();  // warm the VM path
+  // Warm the VM path.
+  LO_CHECK(warm.node->Invoke(Oid(kVictim, 0), "spin", "").get().ok());
   int64_t started = NowUs();
   int completed = 0;
   while (NowUs() - started < 300'000 && completed < 2000) {

@@ -220,40 +220,6 @@ sim::Task<Result<std::string>> Client::InvokeRead(std::string oid,
   co_return result;
 }
 
-sim::Task<Result<std::string>> Client::InvokeReadAny(std::string oid,
-                                                     std::string method,
-                                                     std::string argument) {
-  metrics_.requests++;
-  if (shard_map_.empty() && !coordinators_.empty()) co_await RefreshConfig();
-  const coord::ShardConfig* config =
-      shard_map_.ConfigFor(shard_map_.ShardFor(oid));
-  std::string payload;
-  PutLengthPrefixed(&payload, oid);
-  PutLengthPrefixed(&payload, method);
-  PutLengthPrefixed(&payload, argument);
-  PutLengthPrefixed(&payload, NextInvocationToken());
-  obs::TraceContext trace = StartRootTrace();
-  sim::Time started = rpc_.sim().Now();
-  if (config != nullptr && !config->backups.empty()) {
-    // Pick any replica; fall back to the primary path on failure.
-    size_t which = rpc_.sim().rng().Uniform(config->backups.size() + 1);
-    if (which < config->backups.size()) {
-      auto reply = co_await rpc_.Call(config->backups[which], "lambda.invoke",
-                                      payload, options_.request_timeout, trace,
-                                      options_.tenant_id);
-      if (reply.ok()) {
-        FinishRootTrace(trace, started);
-        co_return reply;
-      }
-      metrics_.retries++;
-    }
-  }
-  auto result =
-      co_await CallWithRouting(oid, "lambda.invoke", std::move(payload), trace);
-  FinishRootTrace(trace, started);
-  co_return result;
-}
-
 sim::Task<Result<std::string>> Client::Create(std::string oid,
                                               std::string type_name) {
   std::string payload;

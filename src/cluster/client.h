@@ -30,7 +30,7 @@ struct ClientOptions {
   /// the deadline (a failover longer than this is an outage, not a blip).
   sim::Duration retry_budget = sim::Millis(2000);
   int max_attempts = 8;
-  /// Observability (nullptr = off). Every Invoke/InvokeReadAny starts a
+  /// Observability (nullptr = off). Every Invoke/InvokeRead starts a
   /// root "invoke" trace on the tracer (subject to its sampling rate);
   /// the registry gets this client's request counters and an end-to-end
   /// invoke latency histogram.
@@ -65,15 +65,6 @@ class Client {
 
   sim::Task<Result<std::string>> Invoke(std::string oid, std::string method,
                                         std::string argument);
-
-  /// Routes a *read-only* method to a randomly chosen replica of the
-  /// owning shard (paper §4.2.1: "read-only functions can execute at any
-  /// replica to increase throughput"). The nodes must be configured with
-  /// serve_reads_as_backup; mutating methods sent this way are rejected
-  /// by the backup's runtime. Reads may trail the primary by in-flight
-  /// replication (bounded staleness).
-  sim::Task<Result<std::string>> InvokeReadAny(std::string oid, std::string method,
-                                               std::string argument);
 
   /// Epoch-gated follower read ("lambda.read"): routes a deterministic
   /// read-only method per `options.read_mode` — to the primary

@@ -60,8 +60,9 @@ StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
   options_.runtime.tracer = options.tracer;
   options_.runtime.node_label = id;
   options_.runtime.tenants = options.tenants;  // per-tenant fuel + DRR lanes
-  runtime_ = std::make_unique<runtime::Runtime>(&net.sim(), db_.get(), types,
-                                                options_.runtime);
+  runtime_ = std::make_unique<runtime::Runtime>(
+      [sim = &net.sim()] { return sim->Now(); }, db_.get(), types,
+      options_.runtime);
   replicator_ = std::make_unique<replication::Replicator>(
       &rpc_, db_.get(), options.replication_mode);
   replicator_->SetApplyHook([this](const storage::WriteBatch& batch) {
@@ -447,14 +448,9 @@ sim::Task<Result<std::string>> StorageNode::HandleInvoke(obs::TraceContext trace
     co_return Status::WrongNode("object migrated away");
   }
   if (!IsPrimaryFor(oid)) {
-    // Backups may serve *read-only* methods if configured (bounded
-    // staleness); anything mutating must go to the primary.
-    bool read_ok = options_.serve_reads_as_backup && IsReplicaFor(oid) &&
-                   MethodIsReadOnly(oid, method);
-    if (!read_ok) {
-      metrics_.invokes_rejected_not_primary++;
-      co_return Status::WrongNode("not primary for object");
-    }
+    // Backups serve reads only through the epoch-gated "lambda.read".
+    metrics_.invokes_rejected_not_primary++;
+    co_return Status::WrongNode("not primary for object");
   }
   co_return co_await InvokeLocal(runtime::ObjectId(oid), std::string(method),
                                  std::string(argument), trace,
@@ -529,11 +525,16 @@ sim::Task<Result<std::string>> StorageNode::HandleRead(obs::TraceContext trace,
   }
   coord::ShardId shard = shard_map_.ShardFor(oid);
   bool primary = IsPrimaryFor(oid);
+  if (!primary && !IsReplicaFor(oid)) {
+    co_return Status::WrongNode("not a replica for object");
+  }
+  // Only read-only methods take the read path, at the primary too (as in
+  // runtime::ParallelNode::InvokeRead): a mutation on a backup would fork
+  // history, and one here would bypass lambda.invoke's idempotency token.
+  if (!MethodIsReadOnly(oid, method)) {
+    co_return Status::NotPrimary("not a read-only method");
+  }
   if (!primary) {
-    if (!IsReplicaFor(oid)) co_return Status::WrongNode("not a replica for object");
-    if (!MethodIsReadOnly(oid, method)) {
-      co_return Status::NotPrimary("mutating method on a backup");
-    }
     Status gate = replicator_->CheckFollowerRead(shard, token, mode, staleness);
     if (!gate.ok()) {
       metrics_.epoch_bounces++;

@@ -75,10 +75,6 @@ struct StorageNodeOptions {
   sim::Duration vm_instantiation_overhead = sim::Micros(100);
   runtime::RuntimeOptions runtime;
   replication::Mode replication_mode = replication::Mode::kPrimaryBackup;
-  /// Serve read-only invocations when this node is a backup (increases
-  /// read throughput; see §4.2.1 "read-only functions can execute at any
-  /// replica").
-  bool serve_reads_as_backup = false;
   /// Observability (nullptr = off). The registry publishes this node's
   /// component metrics under its node id; the tracer records spans for
   /// every sampled invocation that touches this node.

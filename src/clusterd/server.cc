@@ -24,8 +24,6 @@ ServerNode::ServerNode(storage::DB* db, const runtime::TypeRegistry* types,
         server_options.bind_address = options.bind_address;
         server_options.port = options.port;
         server_options.net_threads = options.net_threads;
-        server_options.backend = options.net_backend;
-        server_options.coalesce_flush = options.net_coalesce_flush;
         server_options.metrics_registry = options.metrics_registry;
         server_options.tracer = options.tracer;
         return server_options;
@@ -645,7 +643,6 @@ std::string ServerNode::StatsText() {
   out += "frame_rejects=" + std::to_string(server_.frame_stats().rejects()) + "\n";
   // Transport syscall accounting for the A13 saturation bench: the
   // loadgen diffs two snapshots around its measure window.
-  out += "net_backend=" + std::string(server_.backend_name()) + "\n";
   out += "net_reactors=" + std::to_string(server_.reactors()) + "\n";
   out += "net_syscalls=" + std::to_string(stats.syscalls.load()) + "\n";
   out += "net_poll_waits=" + std::to_string(server_.poll_waits()) + "\n";

@@ -50,11 +50,9 @@ struct ServerNodeOptions {
   /// RpcServer bind config; port 0 = ephemeral.
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;
-  /// Transport reactor threads (0 = LO_NET_THREADS, default 1) and the
-  /// poller backend/flush policy; see net::RpcServerOptions.
+  /// Transport reactor threads (0 = LO_NET_THREADS, default 1); see
+  /// net::RpcServerOptions.
   int net_threads = 0;
-  net::NetBackend net_backend = net::NetBackendFromEnv();
-  bool net_coalesce_flush = true;
   /// Host peers and clients dial this server on (advertised to the
   /// coordinator as "<advertise_host>:<port>").
   std::string advertise_host = "127.0.0.1";

@@ -19,7 +19,7 @@ int64_t EventLoop::NowUs() {
   return static_cast<int64_t>(ts.tv_sec) * 1'000'000 + ts.tv_nsec / 1000;
 }
 
-EventLoop::EventLoop(NetBackend backend) : poller_(MakePoller(backend)) {
+EventLoop::EventLoop() {
   // Writes race peer hangups: a flush to a connection whose peer already
   // closed must surface as EPIPE from writev, not kill the process.
   static const int sigpipe_ignored = [] {
@@ -27,6 +27,8 @@ EventLoop::EventLoop(NetBackend backend) : poller_(MakePoller(backend)) {
     return 0;
   }();
   (void)sigpipe_ignored;
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  LO_CHECK_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
   wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   LO_CHECK_MSG(wake_fd_ >= 0, "eventfd failed");
   current_tick_ = NowUs() / kTickUs;
@@ -39,17 +41,28 @@ EventLoop::EventLoop(NetBackend backend) : poller_(MakePoller(backend)) {
 
 EventLoop::~EventLoop() {
   if (wake_fd_ >= 0) close(wake_fd_);
+  if (epoll_fd_ >= 0) close(epoll_fd_);
+}
+
+void EventLoop::EpollCtl(int op, int fd, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  int rc = epoll_ctl(epoll_fd_, op, fd, &ev);
+  LO_CHECK_MSG(rc == 0, "epoll_ctl failed");
 }
 
 void EventLoop::AddFd(int fd, uint32_t events, FdCallback callback) {
-  poller_->Add(fd, events);
+  EpollCtl(EPOLL_CTL_ADD, fd, events);
   fd_callbacks_[fd] = std::move(callback);
 }
 
-void EventLoop::ModFd(int fd, uint32_t events) { poller_->Mod(fd, events); }
+void EventLoop::ModFd(int fd, uint32_t events) {
+  EpollCtl(EPOLL_CTL_MOD, fd, events);
+}
 
 void EventLoop::RemoveFd(int fd) {
-  poller_->Del(fd);
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   fd_callbacks_.erase(fd);
 }
 
@@ -150,14 +163,14 @@ void EventLoop::Run() {
     std::lock_guard<std::mutex> lock(pending_mu_);
     running_ = !stop_requested_;
   }
-  PollEvent events[64];
+  epoll_event events[64];
   while (running_) {
-    int n = poller_->Wait(events, 64, PollTimeoutMs());
+    int n = epoll_wait(epoll_fd_, events, 64, PollTimeoutMs());
     iterations_.fetch_add(1, std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {
       // Look the callback up fresh: an earlier callback in this batch may
       // have removed (or replaced) this fd.
-      auto it = fd_callbacks_.find(events[i].fd);
+      auto it = fd_callbacks_.find(events[i].data.fd);
       if (it == fd_callbacks_.end()) continue;
       // Copy: the callback may RemoveFd its own registration mid-call.
       FdCallback callback = it->second;

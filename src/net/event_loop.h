@@ -1,6 +1,5 @@
 // Non-blocking event loop: the reactor under net::RpcServer and
-// net::RpcClient. Readiness notification is pluggable (net/poller.h):
-// epoll by default, io_uring as the LO_NET_BACKEND=uring ablation arm.
+// net::RpcClient, on level-triggered epoll.
 //
 // One thread calls Run(); everything else talks to the loop through
 // RunInLoop (a mutex-guarded queue drained after each poll, with an
@@ -19,14 +18,12 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "net/poller.h"
 
 namespace lo::net {
 
@@ -37,9 +34,7 @@ class EventLoop {
   /// Bitmask passed to fd callbacks; values match EPOLLIN/EPOLLOUT etc.
   using FdCallback = std::function<void(uint32_t events)>;
 
-  /// Default backend comes from LO_NET_BACKEND (epoll unless =uring).
-  EventLoop() : EventLoop(NetBackendFromEnv()) {}
-  explicit EventLoop(NetBackend backend);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -92,15 +87,11 @@ class EventLoop {
     end_of_iteration_ = std::move(fn);
   }
 
-  /// Actual backend in use ("epoll"/"uring") — may differ from the
-  /// requested one when io_uring is unavailable on this kernel.
-  const char* backend_name() const { return poller_->name(); }
-
   uint64_t iterations() const {
     return iterations_.load(std::memory_order_relaxed);
   }
-  /// Blocking readiness waits issued so far (one per iteration); feeds
-  /// the transport's syscalls-per-RPC accounting. Readable off-loop.
+  /// epoll_wait calls issued so far (one per iteration); feeds the
+  /// transport's syscalls-per-RPC accounting. Readable off-loop.
   uint64_t poll_waits() const { return iterations(); }
   size_t armed_timers() const { return armed_timers_; }
 
@@ -121,8 +112,10 @@ class EventLoop {
   int PollTimeoutMs() const;
   void DrainPending();
   void Wakeup();
+  /// epoll_ctl(op) for `fd`; aborts on failure (a bad fd is a bug).
+  void EpollCtl(int op, int fd, uint32_t events);
 
-  std::unique_ptr<Poller> poller_;
+  int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd
   std::atomic<std::thread::id> loop_thread_;
   bool running_ = false;

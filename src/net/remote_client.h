@@ -4,11 +4,13 @@
 // idempotency tokens, and retry policy (exponential backoff + jitter
 // under a total retry budget, paper §4.2.1).
 //
-// Routing: object → shard by hash (cluster::ShardMap's hash, so the sim
-// and real deployments agree on placement), shard i served by
-// `nodes[i]`. There is no coordinator in the real path yet — the node
-// list is the configuration — so WrongNode/NotPrimary retries re-send
-// to the same mapping after backoff rather than refreshing a shard map.
+// Routing: by default object → shard by hash (cluster::ShardMap's hash,
+// so the sim and real deployments agree on placement), shard i served by
+// `nodes[i]`. clusterd::Client replaces that with the coordinator's
+// directory through SetRouter, and answers kWrongShard bounces with a
+// directory refresh and an immediate re-send (SetOnMisroute).
+// WrongNode/NotPrimary retries re-send to the current route after
+// backoff.
 //
 // One RemoteClient per thread (it owns a jitter RNG and a token
 // counter); many RemoteClients share one RpcClient, whose loop thread

@@ -50,7 +50,7 @@ Status RpcServer::Start() {
 
   reactors_.reserve(static_cast<size_t>(net_threads));
   for (int i = 0; i < net_threads; ++i) {
-    auto reactor = std::make_unique<Reactor>(options_.backend);
+    auto reactor = std::make_unique<Reactor>();
     reactor->index = i;
     reactors_.push_back(std::move(reactor));
   }
@@ -105,9 +105,7 @@ Status RpcServer::Start() {
       reactor->loop.AddFd(reactor->listen_fd, EPOLLIN,
                           [this, reactor](uint32_t) { AcceptReady(reactor); });
     }
-    if (options_.coalesce_flush) {
-      reactor->loop.SetEndOfIteration([this, reactor] { FlushDirty(reactor); });
-    }
+    reactor->loop.SetEndOfIteration([this, reactor] { FlushDirty(reactor); });
   }
   if (options_.metrics_registry != nullptr) RegisterMetrics();
   started_ = true;
@@ -137,11 +135,6 @@ void RpcServer::Stop() {
   }
   for (auto& reactor_ptr : reactors_) reactor_ptr->thread.join();
   started_ = false;
-}
-
-const char* RpcServer::backend_name() const {
-  return reactors_.empty() ? NetBackendName(options_.backend)
-                           : reactors_[0]->loop.backend_name();
 }
 
 uint64_t RpcServer::poll_waits() const {
@@ -292,9 +285,6 @@ bool RpcServer::DrainInbuf(Reactor* reactor, Connection* conn) {
     if (DecodeMessage(body, &message, &frame_stats_) &&
         message.kind == MessageKind::kRequest) {
       DispatchRequest(reactor, conn, message.request);
-      // A synchronous responder can hit a write error that closes the
-      // connection under us.
-      if (reactor->conns.find(conn_id) == reactor->conns.end()) return false;
     }
     offset += consumed;
   }
@@ -389,13 +379,9 @@ void RpcServer::SendOnConn(Reactor* reactor, Connection* conn,
   conn->sendq.Append(std::move(parts.head));
   conn->sendq.Append(std::move(parts.payload));
   stats_.backlog_bytes.fetch_add(queued, std::memory_order_relaxed);
-  if (!options_.coalesce_flush) {
-    FlushConn(reactor, conn);
-    return;
-  }
-  // Coalesced: the end-of-iteration hook drains every response queued
-  // this iteration with one writev. A connection already waiting on
-  // EPOLLOUT is flushed by the write-ready event instead.
+  // The end-of-iteration hook drains every response queued this
+  // iteration with one writev. A connection already waiting on EPOLLOUT
+  // is flushed by the write-ready event instead.
   if (!conn->dirty && !conn->want_write) {
     conn->dirty = true;
     reactor->flush_list.push_back(conn->id);

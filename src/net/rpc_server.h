@@ -17,8 +17,7 @@
 // N responses costs one write syscall instead of N. Responses are
 // encoded scatter-gather (frame.h EncodeResponseParts): the handler's
 // payload buffer is moved into the queue, never re-copied into a
-// contiguous staging buffer. `coalesce_flush=false` restores the
-// legacy write-per-response behavior as the A13 ablation baseline.
+// contiguous staging buffer.
 //
 // Handlers receive a Responder that may be called from ANY thread
 // exactly once — completion marshals back onto the owning reactor —
@@ -64,12 +63,6 @@ struct RpcServerOptions {
   /// Reactor threads (one EventLoop + listener each). 0 reads
   /// LO_NET_THREADS, defaulting to 1.
   int net_threads = 0;
-  /// Poller backend for every reactor; default follows LO_NET_BACKEND.
-  NetBackend backend = NetBackendFromEnv();
-  /// End-of-iteration writev coalescing. false = flush each response
-  /// with its own write() immediately (the pre-sharding behavior, kept
-  /// as the syscalls-per-RPC ablation baseline).
-  bool coalesce_flush = true;
   /// Shed requests once a connection's unsent responses exceed this.
   size_t max_conn_backlog_bytes = 8u << 20;
   /// >0: SO_SNDBUF for accepted sockets. Tests use the kernel minimum
@@ -124,9 +117,6 @@ class RpcServer {
   uint16_t port() const { return port_; }
   /// Reactor threads actually running (after Start).
   int reactors() const { return static_cast<int>(reactors_.size()); }
-  /// Poller actually in use ("epoll"/"uring") — may differ from the
-  /// requested backend when io_uring is unavailable. Valid after Start.
-  const char* backend_name() const;
   /// True when each reactor has its own SO_REUSEPORT listener; false in
   /// the single-acceptor round-robin fallback.
   bool reuseport_sharding() const { return reuseport_sharding_; }
@@ -152,7 +142,7 @@ class RpcServer {
   /// checks) report it here so one counter covers both shed points.
   void RecordShed() { stats_.deadline_shed.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Blocking readiness waits across all reactors.
+  /// epoll_wait calls across all reactors.
   uint64_t poll_waits() const;
   /// (data syscalls + poll waits) / responses — the per-RPC syscall
   /// budget the coalesced flush path exists to shrink. 0 before any
@@ -179,20 +169,18 @@ class RpcServer {
     uint64_t next_conn_seq = 1;
     std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
     std::vector<uint64_t> flush_list;  // dirty connections this iteration
-
-    explicit Reactor(NetBackend backend) : loop(backend) {}
   };
 
   void AcceptReady(Reactor* reactor);
   /// Registers an accepted fd on `reactor` (its loop thread).
   void AdoptFd(Reactor* reactor, int fd);
   void ConnReady(Reactor* reactor, uint64_t conn_id, uint32_t events);
-  /// Returns false when the connection was closed mid-processing.
+  /// Returns false when a corrupt frame closed the connection.
   bool DrainInbuf(Reactor* reactor, Connection* conn);
   void DispatchRequest(Reactor* reactor, Connection* conn,
                        const RequestFrame& request);
   /// Queues an encoded response; the reactor's end-of-iteration hook
-  /// (or EPOLLOUT) flushes it. With coalescing off, flushes now.
+  /// (or EPOLLOUT) flushes it.
   void SendOnConn(Reactor* reactor, Connection* conn, ResponseParts parts);
   void FlushConn(Reactor* reactor, Connection* conn);
   /// End-of-iteration hook: one writev per dirty connection.

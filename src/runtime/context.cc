@@ -70,7 +70,7 @@ sim::Task<Result<std::string>> InvocationContext::InvokeObject(
                                 std::string(argument));
 }
 
-uint64_t InvocationContext::TimeMillis() { return runtime_->VirtualTimeMillis(); }
+uint64_t InvocationContext::TimeMillis() { return runtime_->TimeMillis(); }
 
 void InvocationContext::DebugLog(std::string_view message) {
   LO_DEBUG << "[" << oid_ << "] " << message;

@@ -7,6 +7,17 @@
 #include "common/hash.h"
 
 namespace lo::runtime {
+namespace {
+
+/// CLOCK_MONOTONIC in nanoseconds: the lane runtimes' clock, in the same
+/// domain as the transport's span timestamps (net::EventLoop::NowUs).
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
 
 ParallelNode::ParallelNode(storage::DB* db, const TypeRegistry* types,
                            ParallelNodeOptions options)
@@ -31,11 +42,10 @@ ParallelNode::ParallelNode(storage::DB* db, const TypeRegistry* types,
   lanes_.reserve(lane_count);
   for (size_t i = 0; i < lane_count; ++i) {
     auto lane = std::make_unique<Lane>();
-    lane->sim = std::make_unique<sim::Simulator>();
     RuntimeOptions rt_options = options_.runtime;
     rt_options.lanes = 1;  // one worker thread == one internal lane
     rt_options.tenants = options_.tenants;  // per-tenant VM fuel accounting
-    lane->runtime = std::make_unique<Runtime>(lane->sim.get(), db_, types, rt_options);
+    lane->runtime = std::make_unique<Runtime>(SteadyNowNs, db_, types, rt_options);
     // All lanes commit through the shared group committer: the worker
     // thread blocks inside Commit() until its batch's shared fsync lands.
     lane->runtime->SetCommitSink(
@@ -286,8 +296,8 @@ Status ParallelNode::ApplyReplicated(storage::WriteBatch batch, uint64_t epoch) 
   // the gate admits reads that rely on those entries being gone. The
   // batch lives on this frame; the barrier keeps it alive past the jobs.
   struct Barrier {
-    std::mutex mu;
-    std::condition_variable cv;
+    std::mutex mu{};
+    std::condition_variable cv{};
     size_t pending;
   } barrier{.pending = lanes_.size()};
   for (size_t i = 0; i < lanes_.size(); ++i) {

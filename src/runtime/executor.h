@@ -1,6 +1,7 @@
 // Real-threaded sharded executor: the OS-thread counterpart of the
-// simulated execution lanes in runtime.h, used by the model-checked
-// concurrency tests (and usable standalone).
+// simulated execution lanes in runtime.h. It is the executor of the real
+// server (clusterd::ServerNode, tools/lambdastore_server.cpp) and of the
+// model-checked concurrency tests.
 //
 // A ParallelNode owns `lanes` worker threads. Every invocation is pinned
 // to lane `hash(object_id) % lanes`: distinct objects run concurrently on
@@ -51,7 +52,7 @@
 #include "common/status.h"
 #include "runtime/object.h"
 #include "runtime/runtime.h"
-#include "sim/simulator.h"
+#include "sim/task.h"
 #include "storage/db.h"
 #include "storage/group_commit.h"
 #include "tenant/tenant.h"
@@ -190,9 +191,6 @@ class ParallelNode {
 
  private:
   struct Lane {
-    // Never stepped: it only supplies the runtime's virtual clock; every
-    // coroutine this lane drives completes synchronously (see header).
-    std::unique_ptr<sim::Simulator> sim;
     std::unique_ptr<Runtime> runtime;
     std::mutex mu;
     std::condition_variable work_cv;

@@ -53,8 +53,8 @@ struct MethodImpl {
   bool deterministic = false;
   /// Exactly one of `native` / `module` is set. VM methods call the
   /// module's export named after the method.
-  NativeMethod native;
-  std::shared_ptr<const vm::Module> module;
+  NativeMethod native{};
+  std::shared_ptr<const vm::Module> module{};
 };
 
 struct ObjectType {

@@ -8,9 +8,9 @@
 
 namespace lo::runtime {
 
-Runtime::Runtime(sim::Simulator* sim, storage::DB* db, const TypeRegistry* types,
+Runtime::Runtime(Clock clock, storage::DB* db, const TypeRegistry* types,
                  RuntimeOptions options)
-    : sim_(sim),
+    : clock_(std::move(clock)),
       db_(db),
       types_(types),
       options_(options),
@@ -32,8 +32,8 @@ Runtime::Runtime(sim::Simulator* sim, storage::DB* db, const TypeRegistry* types
   };
 }
 
-uint64_t Runtime::VirtualTimeMillis() const {
-  return static_cast<uint64_t>(sim_->Now() / 1'000'000);
+uint64_t Runtime::TimeMillis() const {
+  return static_cast<uint64_t>(clock_() / 1'000'000);
 }
 
 Result<std::string> Runtime::StorageRead(const std::string& key,
@@ -145,11 +145,11 @@ sim::Task<Result<std::string>> Runtime::Invoke(ObjectId oid, std::string method,
         co_await RunMethod(*impl, method, ctx, std::move(argument), &fuel, tenant);
     db_->ReleaseSnapshot(snapshot);
     if (cpu_charger_) {
-      sim::Time exec_started = sim_->Now();
+      int64_t exec_started = clock_();
       co_await cpu_charger_(fuel);
       if (obs::Tracing(options_.tracer, trace)) {
         options_.tracer->RecordChild(trace, "vm_exec", options_.node_label,
-                                     exec_started, sim_->Now());
+                                     exec_started, clock_());
       }
     }
     if (result.ok() && !cache_key.empty()) {
@@ -174,12 +174,12 @@ sim::Task<Result<std::string>> Runtime::Invoke(ObjectId oid, std::string method,
   auto result =
       co_await RunMethod(*impl, method, ctx, std::move(argument), &fuel, tenant);
   if (result.ok()) {
-    sim::Time commit_started = sim_->Now();
+    int64_t commit_started = clock_();
     bool had_writes = ctx.has_writes();
     Status commit = co_await CommitContext(ctx);
     if (had_writes && obs::Tracing(options_.tracer, trace)) {
       options_.tracer->RecordChild(trace, "commit", options_.node_label,
-                                   commit_started, sim_->Now());
+                                   commit_started, clock_());
     }
     if (!commit.ok()) {
       metrics_.aborts++;
@@ -191,11 +191,11 @@ sim::Task<Result<std::string>> Runtime::Invoke(ObjectId oid, std::string method,
   }
   lock.Unlock();
   if (cpu_charger_) {
-    sim::Time exec_started = sim_->Now();
+    int64_t exec_started = clock_();
     co_await cpu_charger_(fuel);
     if (obs::Tracing(options_.tracer, trace)) {
       options_.tracer->RecordChild(trace, "vm_exec", options_.node_label,
-                                   exec_started, sim_->Now());
+                                   exec_started, clock_());
     }
   }
   co_return result;

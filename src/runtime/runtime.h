@@ -23,7 +23,7 @@
 #include "runtime/context.h"
 #include "runtime/object.h"
 #include "runtime/result_cache.h"
-#include "sim/simulator.h"
+#include "sim/task.h"
 #include "storage/db.h"
 #include "tenant/tenant.h"
 
@@ -62,8 +62,11 @@ class Runtime {
       ObjectId oid, std::string method, std::string argument,
       obs::TraceContext trace)>;
   using CpuCharger = std::function<sim::Task<void>(uint64_t fuel)>;
+  /// Nanoseconds: sim virtual time or CLOCK_MONOTONIC. Stamps spans and
+  /// backs InvocationContext::TimeMillis.
+  using Clock = std::function<int64_t()>;
 
-  Runtime(sim::Simulator* sim, storage::DB* db, const TypeRegistry* types,
+  Runtime(Clock clock, storage::DB* db, const TypeRegistry* types,
           RuntimeOptions options = {});
 
   /// Instantiates an object of `type_name`. Fails if it already exists —
@@ -131,8 +134,7 @@ class Runtime {
   sim::Task<Result<std::string>> NestedInvoke(InvocationContext& caller,
                                               ObjectId oid, std::string method,
                                               std::string argument);
-  uint64_t VirtualTimeMillis() const;
-  sim::Simulator* sim() { return sim_; }
+  uint64_t TimeMillis() const;
   storage::DB* db() { return db_; }
 
   // --- lane introspection (obs export, tests, Transaction) -------------
@@ -167,7 +169,7 @@ class Runtime {
   /// id selects the DRR grant group (see async_mutex.h).
   sim::Task<void> AcquireLane(size_t lane, tenant::TenantId tenant = 0);
 
-  sim::Simulator* sim_;
+  Clock clock_;
   storage::DB* db_;
   const TypeRegistry* types_;
   RuntimeOptions options_;

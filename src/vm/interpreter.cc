@@ -111,7 +111,7 @@ sim::Task<Result<std::string>> Instance::Invoke(std::string_view function,
   // the tap must see every unit the meter recorded. A veto here does not
   // retroactively fail a completed invocation.
   if (limits_.fuel_tap && tap_pending_ > 0) {
-    limits_.fuel_tap(tap_pending_);
+    (void)limits_.fuel_tap(tap_pending_);
     tap_pending_ = 0;
   }
   co_return result;

@@ -50,7 +50,7 @@ struct VmLimits {
   uint32_t max_stack = 4096;
   /// Optional; called every ~4096 fuel (and once at invocation end) so
   /// the per-instruction hot path stays a bare integer decrement.
-  FuelTap fuel_tap;
+  FuelTap fuel_tap{};
 };
 
 struct VmMetrics {

@@ -545,7 +545,7 @@ TEST(ReplicaReads, BackupsServeReadOnlyInvocations) {
   runtime::TypeRegistry types;
   ASSERT_TRUE(retwis::RegisterUserType(&types, /*use_vm=*/true).ok());
   DeploymentOptions options;
-  options.node.serve_reads_as_backup = true;
+  options.client.read_mode = replication::ReadMode::kEventual;
   AggregatedDeployment deployment(sim, &types, options);
   deployment.WaitUntilReady();
   Client& client = deployment.NewClient();
@@ -569,31 +569,34 @@ TEST(ReplicaReads, BackupsServeReadOnlyInvocations) {
   // Spread timeline reads across replicas; all must return the post.
   run([&]() -> Task<void> {
     for (int i = 0; i < 30; i++) {
-      auto timeline = co_await client.InvokeReadAny("user/r", "get_timeline",
-                                                    retwis::EncodeU64(5));
+      auto timeline = co_await client.InvokeRead("user/r", "get_timeline",
+                                                 retwis::EncodeU64(5));
       EXPECT_TRUE(timeline.ok()) << timeline.status().ToString();
       if (timeline.ok()) {
         auto posts = retwis::DecodeTimeline(*timeline);
         EXPECT_TRUE(posts.ok());
-        if (posts.ok()) EXPECT_EQ(posts->size(), 1u);
+        if (posts.ok()) {
+          EXPECT_EQ(posts->size(), 1u);
+        }
       }
     }
   });
-  // Both backups actually served work.
-  EXPECT_GT(deployment.node(1).metrics().invokes_served, 0u);
-  EXPECT_GT(deployment.node(2).metrics().invokes_served, 0u);
+  // Both backups actually served reads.
+  EXPECT_GT(deployment.node(1).metrics().follower_reads, 0u);
+  EXPECT_GT(deployment.node(2).metrics().follower_reads, 0u);
 
-  // Mutations routed to a backup are rejected, not silently applied.
+  // A mutation sent down the read path is refused by every replica:
+  // nothing is applied, on a backup or on the primary.
+  uint64_t applied_before = deployment.node(0).replicator().applied_seq(0);
   run([&]() -> Task<void> {
-    // Force a direct call at a backup: the runtime itself must refuse.
-    auto reply = co_await client.InvokeReadAny("user/r", "create_post", "nope");
-    // Either a backup bounced it (WrongNode -> fallback to primary, OK)
-    // or the primary served it; both are safe. The invariant: no
-    // *divergent* write on a backup, checked below via replication seq.
-    (void)reply;
+    auto reply = co_await client.InvokeRead("user/r", "create_post", "nope");
+    EXPECT_FALSE(reply.ok());
   });
-  EXPECT_EQ(deployment.node(1).replicator().applied_seq(0),
-            deployment.node(0).replicator().applied_seq(0));
+  sim.RunFor(sim::Millis(5));
+  EXPECT_EQ(deployment.node(0).replicator().applied_seq(0), applied_before);
+  for (int node = 1; node <= 2; node++) {
+    EXPECT_EQ(deployment.node(node).replicator().applied_seq(0), applied_before);
+  }
 }
 
 // --- ShardMap routing ---------------------------------------------------

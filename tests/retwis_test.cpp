@@ -187,7 +187,8 @@ class EquivalenceTest : public ::testing::Test {
       options.env = &env;
       db = std::move(*storage::DB::Open(options, "/eq"));
       EXPECT_TRUE(RegisterUserType(&types, use_vm).ok());
-      runtime = std::make_unique<runtime::Runtime>(&sim, db.get(), &types);
+      runtime = std::make_unique<runtime::Runtime>(
+          [this] { return sim.Now(); }, db.get(), &types);
     }
 
     Result<std::string> Invoke(const std::string& oid, const std::string& method,

@@ -11,6 +11,7 @@
 #include "common/coding.h"
 #include "common/rng.h"
 #include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "storage/env.h"
 #include "vm/assembler.h"
 
@@ -27,7 +28,8 @@ class RuntimeTest : public ::testing::Test {
     options.env = &env_;
     db_ = std::move(*storage::DB::Open(options, "/db"));
     RegisterCounterType();
-    runtime_ = std::make_unique<Runtime>(&sim_, db_.get(), &types_);
+    runtime_ = std::make_unique<Runtime>([this] { return sim_.Now(); },
+                                         db_.get(), &types_);
     // Model WAL-sync latency on commit; this creates the suspension
     // points that let concurrent invocations actually interleave.
     runtime_->SetCommitSink([this](const ObjectId&, storage::WriteBatch batch,
@@ -253,7 +255,9 @@ TEST_F(RuntimeTest, ListSemantics) {
     }
     auto len = co_await ctx.ListLen("log");
     EXPECT_TRUE(len.ok());
-    if (len.ok()) EXPECT_EQ(*len, 5u);
+    if (len.ok()) {
+      EXPECT_EQ(*len, 5u);
+    }
   });
 }
 

@@ -295,7 +295,9 @@ TEST(MemTable, ManyEntriesStaySorted) {
   std::string prev;
   int n = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    if (!prev.empty()) ASSERT_LT(icmp.Compare(prev, iter->key()), 0);
+    if (!prev.empty()) {
+      ASSERT_LT(icmp.Compare(prev, iter->key()), 0);
+    }
     prev.assign(iter->key());
     n++;
   }
@@ -1572,7 +1574,9 @@ TEST(ShardedMemTable, MergedIteratorIsGloballySorted) {
   InternalKeyComparator icmp;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     std::string current(iter->key());
-    if (seen > 0) EXPECT_LT(icmp.Compare(prev, current), 0);
+    if (seen > 0) {
+      EXPECT_LT(icmp.Compare(prev, current), 0);
+    }
     prev = current;
     seen++;
   }

@@ -7,6 +7,7 @@
 
 #include "runtime/runtime.h"
 #include "runtime/transaction.h"
+#include "sim/simulator.h"
 #include "storage/env.h"
 
 namespace lo::runtime {
@@ -36,7 +37,8 @@ class TransactionTest : public ::testing::Test {
           co_return arg;
         }};
     EXPECT_TRUE(types_.Register(std::move(type)).ok());
-    runtime_ = std::make_unique<Runtime>(&sim_, db_.get(), &types_);
+    runtime_ = std::make_unique<Runtime>([this] { return sim_.Now(); },
+                                         db_.get(), &types_);
     // Async commits so concurrent transactions interleave.
     runtime_->SetCommitSink([this](const ObjectId&, storage::WriteBatch batch,
                                    obs::TraceContext) -> Task<Status> {
@@ -110,7 +112,9 @@ TEST_F(TransactionTest, ReadsSeeOwnWritesAndRecordReadSet) {
     txn.Set("cell/a", "v", "mine");
     auto after = co_await txn.Get("cell/a", "v");
     EXPECT_TRUE(after.ok());
-    if (after.ok()) EXPECT_EQ(*after, "mine");
+    if (after.ok()) {
+      EXPECT_EQ(*after, "mine");
+    }
     Status s = co_await txn.Commit();
     EXPECT_TRUE(s.ok());
   });
@@ -222,7 +226,9 @@ TEST_F(TransactionTest, CommitInvalidatesResultCache) {
     EXPECT_TRUE(s.ok());
     auto after = co_await runtime_->Invoke("cell/a", "get", "");
     EXPECT_TRUE(after.ok());
-    if (after.ok()) EXPECT_EQ(*after, "new");  // not the stale cached "old"
+    if (after.ok()) {
+      EXPECT_EQ(*after, "new");  // not the stale cached "old"
+    }
   });
 }
 

@@ -3,7 +3,10 @@
 # (test name: check_docs):
 #   1. every relative markdown link resolves to an existing file;
 #   2. every LO_* environment knob referenced anywhere in the code
-#      appears in docs/tuning.md, the canonical knob table.
+#      appears in docs/tuning.md, the canonical knob table;
+#   3. every LO_* name in docs/tuning.md is still read by the code, and
+#      every --flag row in its server/coordinator flag tables is still
+#      parsed by that tool, so a deleted knob cannot outlive its code.
 set -u
 
 # Resolve the repo root from the script's own (symlink-free) location,
@@ -73,3 +76,36 @@ if [ -n "$missing" ]; then
   exit 1
 fi
 echo "all LO_* knobs are documented in docs/tuning.md"
+
+# The reverse direction. A documented LO_* name must still appear as a
+# quoted literal in the code, and a documented --flag as a string
+# literal ("name" or "--name") in the tool whose table lists it.
+stale=$(
+  grep -oE 'LO_[A-Z0-9_]+' "$tuning" | sort -u | while read -r knob; do
+    if ! grep -rqF --include='*.cpp' --include='*.cc' --include='*.h' \
+      "\"$knob\"" "$root/src" "$root/bench" "$root/tools" "$root/tests"; then
+      echo "STALE KNOB: $knob (docs/tuning.md documents it; no code reads it)"
+    fi
+  done
+  # "<tool path> <first cell>" for every flag row of each tool's table;
+  # a table belongs to the "(tools/lambdastore_*.cpp)" line above it.
+  awk '
+    /^#/ { tool = "" }
+    match($0, /\(tools\/lambdastore_[a-z]+\.cpp\)/) {
+      tool = substr($0, RSTART + 1, RLENGTH - 2)
+    }
+    tool != "" && /^\| `--/ { split($0, cells, "|"); print tool, cells[2] }
+  ' "$tuning" | while read -r tool cell; do
+    for flag in $(echo "$cell" | grep -oE -- '--[a-z0-9-]+'); do
+      name="${flag#--}"
+      if ! grep -qE "\"(--)?$name\"" "$root/$tool"; then
+        echo "STALE FLAG: $flag (docs/tuning.md documents it; $tool does not parse it)"
+      fi
+    done
+  done
+)
+if [ -n "$stale" ]; then
+  echo "$stale"
+  exit 1
+fi
+echo "every knob and flag in docs/tuning.md exists in the code"

@@ -21,9 +21,6 @@
 //   --lanes=N        execution lanes (default 8)
 //   --net-threads=N  transport reactor threads, one SO_REUSEPORT
 //                    listener each (default from LO_NET_THREADS, else 1)
-//   --net-backend=epoll|uring  poller backend (also LO_NET_BACKEND)
-//   --net-flush=coalesce|immediate  response flush policy; immediate
-//                    restores write-per-response (A13 ablation baseline)
 //   --coordinator=IP:PORT  join the cluster at this coordinator
 //   --advertise=HOST host peers/clients dial (default 127.0.0.1)
 //   --report-interval-ms=N  load-report/heartbeat cadence (default 200)
@@ -89,8 +86,6 @@ struct Flags {
   std::string tenants;           // QoS spec; empty = tenancy off
   int64_t tenant_window_ms = 1000;
   int64_t net_threads = 0;       // 0 = LO_NET_THREADS, default 1
-  std::string net_backend;       // empty = LO_NET_BACKEND, default epoll
-  std::string net_flush;         // empty/"coalesce" | "immediate"
 };
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -151,10 +146,6 @@ Flags ParseFlags(int argc, char** argv) {
       flags.tenant_window_ms = std::stoll(value);
     } else if (ParseFlag(argv[i], "net-threads", &value)) {
       flags.net_threads = std::stoll(value);
-    } else if (ParseFlag(argv[i], "net-backend", &value)) {
-      flags.net_backend = value;
-    } else if (ParseFlag(argv[i], "net-flush", &value)) {
-      flags.net_flush = value;
     } else {
       fprintf(stderr, "unknown flag: %s\n", argv[i]);
       exit(2);
@@ -235,12 +226,6 @@ int main(int argc, char** argv) {
   options.lanes = flags.lanes;
   options.report_interval_ms = flags.report_interval_ms;
   options.net_threads = static_cast<int>(flags.net_threads);
-  if (!flags.net_backend.empty()) {
-    options.net_backend = flags.net_backend == "uring"
-                              ? lo::net::NetBackend::kUring
-                              : lo::net::NetBackend::kEpoll;
-  }
-  if (flags.net_flush == "immediate") options.net_coalesce_flush = false;
   if (flags.gc_bytes > 0) {
     options.group_commit.max_batch_bytes = static_cast<size_t>(flags.gc_bytes);
   }
