@@ -262,9 +262,9 @@ int main(int argc, char** argv) {
   for (int i = 0; i < config.clients; i++) {
     threads.emplace_back([&, i] {
       clusterd::ClientOptions options;
-      options.remote.seed = config.seed * 1000003 + static_cast<uint64_t>(i);
-      options.remote.request_timeout_us = 5'000'000;
-      options.remote.retry_budget_us = 10'000'000;
+      options.seed = config.seed * 1000003 + static_cast<uint64_t>(i);
+      options.request_timeout_us = 5'000'000;
+      options.retry_budget_us = 10'000'000;
       clusterd::Client client(&rpc, coord_address, options);
       Rng rng(config.seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i + 1)));
       ClientSlot& slot = *slots[static_cast<size_t>(i)];
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
         }
         slot.directory_refreshes.store(client.metrics().directory_refreshes,
                                        std::memory_order_relaxed);
-        slot.redirects.store(client.remote_metrics().redirects,
+        slot.redirects.store(client.metrics().redirects,
                              std::memory_order_relaxed);
       }
     });

@@ -157,8 +157,9 @@ retwis::DriverResult RunExperiment(bool aggregated, retwis::OpType op,
 ///   LO_NET_SERVER_BIN=<p>   lambdastore-server binary (default: next to
 ///                           this binary, ../tools/lambdastore-server)
 /// When enabled, benches additionally spawn one lambdastore-server
-/// process and drive it over loopback TCP with net::RemoteClient — the
-/// same closed loop, but in wall-clock time on real threads.
+/// process and drive it over loopback TCP with standalone
+/// clusterd::Clients — the same closed loop, but in wall-clock time on
+/// real threads.
 struct RealNetConfig {
   bool enabled = false;
   uint16_t port = 0;
@@ -169,7 +170,7 @@ RealNetConfig RealNetFromEnv();
 /// Runs one op against a freshly spawned lambdastore-server: seeds the
 /// same ReTwis graph (workload num_users/posts/seed travel as server
 /// flags), runs `config.num_clients` real threads each owning a
-/// net::RemoteClient over one shared net::RpcClient, measures for
+/// clusterd::Client over one shared net::RpcClient, measures for
 /// `config.measure` wall-clock nanoseconds after `config.warmup`, then
 /// shuts the server down (admin.shutdown + waitpid). Dies if the server
 /// cannot be spawned or does not come up.

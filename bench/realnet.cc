@@ -1,6 +1,6 @@
 // LO_NET=real half of the harness: spawns one lambdastore-server
-// process, drives it over loopback TCP with net::RemoteClient on real
-// threads, and shuts it down cleanly. The closed loop mirrors
+// process, drives it over loopback TCP with standalone clusterd::Clients
+// on real threads, and shuts it down cleanly. The closed loop mirrors
 // retwis::RunClosedLoop, but in wall-clock time: N client threads each
 // issue the next request as soon as the previous one completes,
 // latencies recorded after a warmup window.
@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "clusterd/client.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "net/remote_client.h"
 #include "net/rpc_client.h"
 
 extern char** environ;
@@ -296,10 +296,7 @@ SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
           : 0;
   result.reactors = static_cast<int>(StatValue(*after, "net_reactors"));
 
-  {
-    net::RemoteClient admin(&rpc, {address});
-    admin.Shutdown();
-  }
+  (void)rpc.CallSync(address, "admin.shutdown", "", 1'000'000);
   int status = 0;
   for (int i = 0; i < 100; i++) {  // up to 5s for the drain
     if (waitpid(server.pid, &status, WNOHANG) == server.pid) {
@@ -350,7 +347,7 @@ retwis::DriverResult RunRealNetExperiment(retwis::OpType op,
   threads.reserve(config.num_clients);
   for (int i = 0; i < config.num_clients; i++) {
     threads.emplace_back([&, i] {
-      net::RemoteClientOptions options;
+      clusterd::ClientOptions options;
       options.seed = config.seed * 1000003 + static_cast<uint64_t>(i);
       // Closed-loop measurement clients must out-wait celebrity-post
       // fan-outs, like the sim bench client (cluster request_timeout).
@@ -360,7 +357,7 @@ retwis::DriverResult RunRealNetExperiment(retwis::OpType op,
       // with --tenants (see docs/tenancy.md); 0 = unattributed.
       options.tenant_id =
           static_cast<uint32_t>(IntEnv("LO_TENANT_ID", 0));
-      net::RemoteClient client(&rpc, {address}, options);
+      auto client = clusterd::Client::Standalone(&rpc, address, options);
       Rng rng(config.workload.seed ^
               (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i + 1)));
       PerThread& slot = slots[static_cast<size_t>(i)];
@@ -405,10 +402,7 @@ retwis::DriverResult RunRealNetExperiment(retwis::OpType op,
     result.errors += slot.errors;
   }
 
-  {
-    net::RemoteClient admin(&rpc, {address});
-    admin.Shutdown();
-  }
+  (void)rpc.CallSync(address, "admin.shutdown", "", 1'000'000);
   int status = 0;
   for (int i = 0; i < 100; i++) {  // up to 5s for the drain
     if (waitpid(server.pid, &status, WNOHANG) == server.pid) {

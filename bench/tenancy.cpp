@@ -227,7 +227,7 @@ void Dispatch(TenantStream* stream, Node* node, tenant::TenantRegistry* tenants,
           }
           stream->outstanding.fetch_sub(1, std::memory_order_relaxed);
         },
-        /*shed=*/{}, stream->id);
+        stream->id);
   }
 }
 

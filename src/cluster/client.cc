@@ -1,6 +1,6 @@
 #include "cluster/client.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "common/coding.h"
 #include "common/log.h"
@@ -26,26 +26,10 @@ Client::Client(sim::Network& net, sim::NodeId id,
   }
 }
 
-void Client::ObserveToken(coord::ShardId shard,
-                          const replication::EpochToken& token) {
-  replication::EpochToken& held = tokens_[shard];
-  if (token.epoch > held.epoch) {
-    held = token;
-  } else if (token.epoch == held.epoch) {
-    held.seq = std::max(held.seq, token.seq);
-  }
-}
-
 Result<std::string> Client::UnwrapToken(coord::ShardId shard,
                                         Result<std::string> wrapped) {
   if (!wrapped.ok()) return wrapped;
-  replication::EpochToken token;
-  std::string_view body;
-  if (!replication::DecodeTokenWrapped(*wrapped, &token, &body)) {
-    return Status::Corruption("bad token-wrapped response");
-  }
-  ObserveToken(shard, token);
-  return std::string(body);
+  return replication::UnwrapToken(*wrapped, &tokens_[shard]);
 }
 
 replication::EpochToken Client::TokenFor(const std::string& oid) const {
@@ -79,67 +63,35 @@ sim::Task<Result<std::string>> Client::CallWithRouting(const std::string& oid,
                                                        std::string service,
                                                        std::string payload,
                                                        obs::TraceContext trace) {
-  metrics_.requests++;
-  Status last = Status::Unavailable("no attempts made");
-  const sim::Time deadline = rpc_.sim().Now() + options_.retry_budget;
-  sim::Duration backoff = options_.retry_backoff;
-  int throttles = 0;
-  bool throttled_pause = false;  // previous iteration already slept
-  for (int attempt = 0; attempt < options_.max_attempts; attempt++) {
-    if (attempt > 0 && !throttled_pause) {
-      // Exponential backoff with ±25% jitter (seeded RNG, so a replayed
-      // fault schedule reproduces the same retry timeline). Jitter keeps
-      // the client herd from re-converging on a recovering primary.
-      double jitter = 0.75 + 0.5 * rpc_.sim().rng().NextDouble();
-      auto pause = static_cast<sim::Duration>(
-          static_cast<double>(backoff) * jitter);
-      if (rpc_.sim().Now() + pause >= deadline) {
-        metrics_.budget_exhausted++;
-        break;  // surface `last`: better an error than an unbounded stall
-      }
-      metrics_.retries++;
-      co_await rpc_.sim().Sleep(pause);
-      backoff = std::min(backoff * 2, options_.retry_backoff_max);
-    }
-    throttled_pause = false;
+  sim::Simulator& sim = rpc_.sim();
+  // Sim nodes answer a misroute with kWrongNode, a transient failure
+  // that refreshes the shard map below, never with kWrongShard.
+  RetryPolicy retry([&sim] { return sim.Now(); }, &sim.rng(),
+                    RetryPolicy::kDefaultBudgetNs,
+                    /*follows_redirects=*/false, &metrics_);
+  while (true) {
     if (shard_map_.empty() && !coordinators_.empty()) co_await RefreshConfig();
     sim::NodeId primary = shard_map_.PrimaryFor(oid);
+    Status failure;
     if (primary == 0) {
-      last = Status::Unavailable("no shard map");
-      continue;
+      failure = Status::Unavailable("no shard map");
+    } else {
+      auto result = co_await rpc_.Call(primary, service, payload,
+                                       options_.request_timeout, trace,
+                                       options_.tenant_id);
+      if (result.ok()) co_return result;
+      failure = result.status();
+      // Stale routing or mid-failover: refresh before the pause.
+      if (RetryPolicy::Classify(failure.code()) ==
+              RetryPolicy::Failure::kTransient &&
+          !coordinators_.empty()) {
+        co_await RefreshConfig();
+      }
     }
-    auto result = co_await rpc_.Call(primary, service, payload,
-                                     options_.request_timeout, trace,
-                                     options_.tenant_id);
-    if (result.ok()) co_return result;
-    last = result.status();
-    switch (last.code()) {
-      case StatusCode::kWrongNode:
-      case StatusCode::kNotPrimary:
-      case StatusCode::kTimeout:
-      case StatusCode::kUnavailable:
-        // Stale routing or mid-failover; refresh and retry.
-        if (!coordinators_.empty()) co_await RefreshConfig();
-        continue;
-      case StatusCode::kTenantThrottled:
-        // Admission pushback, not a fault: pause on the dedicated
-        // throttle backoff and re-send without consuming a failure
-        // attempt, bounded by its own cap and the wall-clock budget.
-        metrics_.throttled++;
-        if (++throttles > options_.max_throttle_retries) co_return last;
-        if (rpc_.sim().Now() + options_.throttle_backoff >= deadline) {
-          metrics_.budget_exhausted++;
-          co_return last;
-        }
-        co_await rpc_.sim().Sleep(options_.throttle_backoff);
-        throttled_pause = true;
-        attempt--;
-        continue;
-      default:
-        co_return last;  // application-level error: surface it
-    }
+    std::optional<sim::Duration> pause = retry.Next(failure.code());
+    if (!pause) co_return failure;
+    if (*pause > 0) co_await sim.Sleep(*pause);
   }
-  co_return last;
 }
 
 std::string Client::NextInvocationToken() {
@@ -148,6 +100,7 @@ std::string Client::NextInvocationToken() {
 
 sim::Task<Result<std::string>> Client::Invoke(std::string oid, std::string method,
                                               std::string argument) {
+  metrics_.requests++;
   std::string payload;
   PutLengthPrefixed(&payload, oid);
   PutLengthPrefixed(&payload, method);
@@ -172,19 +125,8 @@ sim::Task<Result<std::string>> Client::InvokeRead(std::string oid,
   coord::ShardId shard = shard_map_.ShardFor(oid);
   const coord::ShardConfig* config = shard_map_.ConfigFor(shard);
   replication::ReadMode mode = options_.read_mode;
-  replication::EpochToken token = TokenFor(oid);
-  // Request: LP oid | LP method | LP arg | varint32 mode |
-  //          varint64 token.epoch | varint64 token.seq | varint64 staleness.
-  // The same payload works at the bounce target: the primary ignores the
-  // gate (it always serves).
-  std::string payload;
-  PutLengthPrefixed(&payload, oid);
-  PutLengthPrefixed(&payload, method);
-  PutLengthPrefixed(&payload, argument);
-  PutVarint32(&payload, static_cast<uint32_t>(mode));
-  PutVarint64(&payload, token.epoch);
-  PutVarint64(&payload, token.seq);
-  PutVarint64(&payload, options_.staleness_epochs);
+  std::string payload = replication::EncodeReadRequest(
+      {oid, method, argument, mode, TokenFor(oid), options_.staleness_epochs});
   obs::TraceContext trace = StartRootTrace();
   sim::Time started = rpc_.sim().Now();
   // Replica choice: chain tail for kTail, otherwise uniform over the
@@ -222,6 +164,7 @@ sim::Task<Result<std::string>> Client::InvokeRead(std::string oid,
 
 sim::Task<Result<std::string>> Client::Create(std::string oid,
                                               std::string type_name) {
+  metrics_.requests++;
   std::string payload;
   PutLengthPrefixed(&payload, oid);
   PutLengthPrefixed(&payload, type_name);

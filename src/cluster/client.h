@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/retry.h"
 #include "cluster/routing.h"
 #include "coord/coordinator.h"
 #include "obs/metrics.h"
@@ -19,17 +20,10 @@
 
 namespace lo::cluster {
 
+/// Retries follow cluster::RetryPolicy (backoff, budget, throttle
+/// pauses) on the sim clock, with jitter from the seeded sim RNG.
 struct ClientOptions {
   sim::Duration request_timeout = sim::Millis(100);
-  /// Initial retry pause; doubles per attempt (with ±25% jitter from the
-  /// seeded sim RNG) up to `retry_backoff_max`.
-  sim::Duration retry_backoff = sim::Millis(10);
-  sim::Duration retry_backoff_max = sim::Millis(160);
-  /// Total wall-clock budget for one request including all retries.
-  /// Exhausting it surfaces the last failure instead of sleeping past
-  /// the deadline (a failover longer than this is an outage, not a blip).
-  sim::Duration retry_budget = sim::Millis(2000);
-  int max_attempts = 8;
   /// Observability (nullptr = off). Every Invoke/InvokeRead starts a
   /// root "invoke" trace on the tracer (subject to its sampling rate);
   /// the registry gets this client's request counters and an end-to-end
@@ -47,12 +41,6 @@ struct ClientOptions {
   /// Tenant id stamped on every request (0 = untenanted legacy traffic).
   /// Servers running with a TenantRegistry gate admission and fuel on it.
   uint32_t tenant_id = 0;
-  /// kTenantThrottled is admission pushback, not a fault: the client
-  /// pauses `throttle_backoff` and re-sends without consuming a failure
-  /// attempt, bounded by `max_throttle_retries` and the wall-clock
-  /// retry_budget. Counted separately as rpc.throttled.
-  sim::Duration throttle_backoff = sim::Millis(5);
-  int max_throttle_retries = 16;
 };
 
 class Client {
@@ -87,20 +75,17 @@ class Client {
   /// publish the directory update.
   sim::Task<Status> MigrateObject(const std::string& oid, coord::ShardId shard);
 
-  struct Metrics {
+  /// Retry counters (retries, budget_exhausted, throttled) come from
+  /// the policy; `redirects` stays 0, since sim nodes never answer
+  /// kWrongShard.
+  struct Metrics : RetryPolicy::Counters {
     uint64_t requests = 0;
-    uint64_t retries = 0;
     uint64_t config_refreshes = 0;
-    /// Requests abandoned because the retry budget ran out.
-    uint64_t budget_exhausted = 0;
     /// InvokeRead requests answered by a backup replica.
     uint64_t follower_reads = 0;
     /// InvokeRead requests a backup bounced (kEpochBehind) and the
     /// client re-issued at the primary.
     uint64_t read_bounces = 0;
-    /// Requests the server shed with kTenantThrottled (each re-send after
-    /// the dedicated throttle pause counts again).
-    uint64_t throttled = 0;
   };
   const Metrics& metrics() const { return metrics_; }
 
@@ -121,10 +106,8 @@ class Client {
   /// re-send and skips the re-apply instead of double-applying.
   std::string NextInvocationToken();
 
-  /// Folds a token from a write ack into the per-shard token map: a newer
-  /// config epoch supersedes; within an epoch the sequence only advances.
-  void ObserveToken(coord::ShardId shard, const replication::EpochToken& token);
-  /// Unwraps a token-wrapped response, folds the token in, returns the body.
+  /// Unwraps a token-wrapped response, folds its token into the shard's
+  /// entry of `tokens_`, returns the body.
   Result<std::string> UnwrapToken(coord::ShardId shard,
                                   Result<std::string> wrapped);
 

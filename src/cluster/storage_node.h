@@ -2,11 +2,11 @@
 //
 // Each node owns a MiniLSM database, a LambdaObjects runtime, a
 // replicator, a CPU model (worker cores) and an RPC endpoint exposing:
-//   lambda.invoke   invoke a method (clients and peer nodes)
-//   lambda.create   instantiate an object
-//   lambda.invoke2 / lambda.create2   token-wrapped variants: the
-//                   response carries the shard's apply token (epoch +
-//                   seq) so clients can do read-your-writes follower reads
+//   lambda.invoke   invoke a method (peer nodes' nested invocations)
+//   lambda.invoke2 / lambda.create2   invoke a method / instantiate an
+//                   object for a client: the response carries the
+//                   shard's apply token (epoch + seq) so clients can do
+//                   read-your-writes follower reads
 //   lambda.read     epoch-gated read-only invocation, served at the
 //                   primary or at any backup whose apply state covers
 //                   the client's token (docs/replication.md)
@@ -153,14 +153,13 @@ class StorageNode {
   sim::Task<Result<std::string>> HandleInvoke(obs::TraceContext trace,
                                               uint32_t tenant,
                                               std::string payload);
-  sim::Task<Result<std::string>> HandleCreate(std::string payload);
-  /// Token-wrapped variants: same request wire format, response prefixed
-  /// with this node's apply token (epoch + seq) for the object's shard so
-  /// clients can do read-your-writes follower reads.
+  /// Token-wrapped responses ("lambda.invoke2" / "lambda.create2"):
+  /// prefixed with this node's apply token (epoch + seq) for the
+  /// object's shard so clients can do read-your-writes follower reads.
   sim::Task<Result<std::string>> HandleInvoke2(obs::TraceContext trace,
                                                uint32_t tenant,
                                                std::string payload);
-  sim::Task<Result<std::string>> HandleCreate2(std::string payload);
+  sim::Task<Result<std::string>> HandleCreate(std::string payload);
   /// Epoch-gated read path ("lambda.read"): serves deterministic
   /// read-only invocations at the primary or any backup whose apply
   /// state satisfies the client's token, else kEpochBehind.

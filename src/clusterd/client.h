@@ -1,88 +1,120 @@
-// clusterd::Client — real-transport cluster client with a cached
-// microshard directory (the TCP counterpart of cluster::Client).
+// clusterd::Client — the client library of a real (multi-process)
+// LambdaStore deployment, the TCP counterpart of cluster::Client: the
+// same services, payloads and idempotency tokens, and the same retry
+// policy (cluster::RetryPolicy), slept on the wall clock.
 //
-// Routing: the client caches the coordinator's versioned ClusterView
-// and resolves every request oid -> shard (directory entry wins, hash
-// otherwise) -> primary node -> "ip:port". A kWrongShard bounce — the
-// object migrated, or the cache predates the object's placement — takes
-// the cheap fast-path in net::RemoteClient: refresh the directory once
-// and re-send immediately, without burning the retry budget. Faults
-// (timeouts, connection loss) keep the PR 2 backoff-and-retry policy
-// with idempotency tokens.
+// Routing: a directory-routed client caches the coordinator's versioned
+// ClusterView and resolves every request oid -> shard (directory entry
+// wins, hash otherwise) -> primary node -> "ip:port". A kWrongShard
+// bounce — the object migrated, or the cache predates the object's
+// placement — refreshes the view and re-sends at once, without a pause
+// or a retry attempt. A standalone client sends every request to one
+// server and surfaces kWrongShard to the caller. Faults (timeouts,
+// connection loss) back off and re-send with the same token.
 //
-// One Client per thread (it wraps a per-thread net::RemoteClient); many
-// share one RpcClient, whose loop thread multiplexes the connections.
+// One Client per thread (it owns a jitter RNG, a token counter and the
+// read token); many share one RpcClient, whose loop thread multiplexes
+// their calls over pooled connections.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <utility>
 
+#include "cluster/retry.h"
 #include "clusterd/wire.h"
-#include "net/remote_client.h"
+#include "common/histogram.h"
+#include "common/rng.h"
 #include "net/rpc_client.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "replication/replicator.h"
 
 namespace lo::clusterd {
 
 struct ClientOptions {
-  /// Base retry/backoff policy + observability (see RemoteClientOptions).
-  net::RemoteClientOptions remote;
-  int64_t coord_timeout_us = 2'000'000;
+  int64_t request_timeout_us = 1'000'000;
+  /// Total budget of one request, retries included.
+  int64_t retry_budget_us = 2'000'000;
+  /// Seeds the backoff jitter.
+  uint64_t seed = 7;
+  /// Staleness contract of InvokeRead (LO_FOLLOWER_READS). Every real
+  /// read lands at the shard's owner; the token enforces monotonic reads.
+  replication::ReadMode read_mode = replication::ReadMode::kPrimaryOnly;
+  /// Apply-epoch slack a kBounded read tolerates (LO_STALENESS_EPOCHS).
+  uint64_t staleness_epochs = 0;
+  /// Tenant id stamped on every request (0 = untenanted legacy traffic).
+  /// Servers running with --tenants gate admission and fuel on it
+  /// (docs/tenancy.md). bench/harness reads LO_TENANT_ID into it.
+  uint32_t tenant_id = 0;
+  /// Observability (nullptr = off). The tracer is touched from this
+  /// client's calling thread — give concurrent Clients separate tracers
+  /// or none.
+  obs::Tracer* tracer = nullptr;
+  obs::MetricsRegistry* metrics_registry = nullptr;
 };
 
 class Client {
  public:
-  Client(net::RpcClient* rpc, std::string coordinator_address,
+  /// Routes by the directory the coordinator at `coordinator` serves
+  /// (clusterd.get_config), fetched on first use and on kWrongShard.
+  /// `rpc` is shared and must outlive this client.
+  Client(net::RpcClient* rpc, std::string coordinator,
          ClientOptions options = {});
+  /// Sends every request to the server at `address`.
+  static Client Standalone(net::RpcClient* rpc, std::string address,
+                           ClientOptions options = {});
 
-  /// Blocking; routes by directory, redirects on kWrongShard, retries
-  /// faults under the backoff budget with a stable idempotency token.
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  /// Blocking. Every attempt carries the same idempotency token, so a
+  /// retry after a lost ack never double-applies.
   Result<std::string> Invoke(const std::string& oid, const std::string& method,
                              const std::string& argument);
   Result<std::string> Create(const std::string& oid,
                              const std::string& type_name);
 
-  /// Epoch-gated read ("lambda.read") routed like Invoke; the underlying
-  /// RemoteClient carries a monotonic apply-epoch token so a re-routed
-  /// or retried read never observes state older than one it already saw
-  /// (see net::RemoteClient::InvokeRead; mode/staleness come from
-  /// options.remote.read_mode / .staleness_epochs).
+  /// Epoch-gated read ("lambda.read"): carries the last apply-epoch token
+  /// this client observed, so the server bounces (kEpochBehind) rather
+  /// than serve state older than one it already saw — monotonic reads
+  /// under options.read_mode, across retries and re-routes.
   Result<std::string> InvokeRead(const std::string& oid,
                                  const std::string& method,
                                  const std::string& argument);
 
-  /// Blocking directory fetch from the coordinator. Invoke/Create call
-  /// it on demand (first use, kWrongShard bounces); tests can force it.
-  Status RefreshDirectory();
+  /// Last apply-epoch token observed from read replies — the floor the
+  /// next strict/bounded InvokeRead is gated on.
+  replication::EpochToken read_token() const { return read_token_; }
 
-  /// Last fetched view (null before the first refresh).
-  std::shared_ptr<const ClusterView> view() const;
-
-  /// Last (epoch, seq) apply-epoch token observed from read replies —
-  /// the floor the next strict/bounded InvokeRead is gated on.
-  std::pair<uint64_t, uint64_t> read_token() const {
-    return remote_.last_read_token();
-  }
-
-  struct Metrics {
+  struct Metrics : cluster::RetryPolicy::Counters {
+    uint64_t requests = 0;
     uint64_t directory_refreshes = 0;
   };
   const Metrics& metrics() const { return metrics_; }
-  /// Underlying transport metrics (requests, retries, redirects, ...).
-  const net::RemoteClient::Metrics& remote_metrics() const {
-    return remote_.metrics();
-  }
 
  private:
+  Client(net::RpcClient* rpc, std::string coordinator, std::string server,
+         ClientOptions options);
+
+  Result<std::string> Call(const std::string& oid, const char* service,
+                           const std::string& payload);
+  /// "ip:port" of the object's owner, empty when the view has no route.
+  std::string AddressFor(const std::string& oid) const;
+  Status RefreshDirectory();
+  std::string NextInvocationToken();
+
   net::RpcClient* rpc_;
-  std::string coordinator_;
+  std::string coordinator_;  // empty for a standalone client
+  std::string server_;       // a standalone client's one server
   ClientOptions options_;
-  net::RemoteClient remote_;
-  mutable std::mutex mu_;
-  std::shared_ptr<const ClusterView> view_;
+  std::optional<ClusterView> view_;
+  Rng rng_;
   Metrics metrics_;
+  uint64_t client_id_ = 0;  // process-unique, for token minting
+  uint64_t next_token_ = 1;
+  replication::EpochToken read_token_;
+  Histogram* invoke_latency_us_ = nullptr;  // owned by the registry
 };
 
 }  // namespace lo::clusterd

@@ -9,6 +9,7 @@
 #include "cluster/microshard.h"
 #include "common/coding.h"
 #include "common/log.h"
+#include "replication/replicator.h"
 #include "runtime/object.h"
 
 namespace lo::clusterd {
@@ -203,18 +204,12 @@ void ServerNode::InstallHandlers() {
   // again, across retries and reconnects.
   server_.Handle("lambda.read", [this](net::RpcServer::Request request,
                                        net::RpcServer::Responder respond) {
-    Reader reader{request.payload};
-    std::string_view oid, method, argument;
-    uint32_t mode = 0;
-    uint64_t token_epoch = 0, token_seq = 0, staleness = 0;
-    if (!reader.GetLengthPrefixed(&oid) || !reader.GetLengthPrefixed(&method) ||
-        !reader.GetLengthPrefixed(&argument) || !reader.GetVarint32(&mode) ||
-        !reader.GetVarint64(&token_epoch) || !reader.GetVarint64(&token_seq) ||
-        !reader.GetVarint64(&staleness)) {
+    replication::ReadRequest read;
+    if (!replication::DecodeReadRequest(request.payload, &read)) {
       respond(Status::Corruption("bad read payload"));
       return;
     }
-    std::string oid_str(oid);
+    std::string oid_str(read.oid);
     CountRequest(oid_str);
     if (!OwnsForExecution(oid_str)) {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -224,18 +219,20 @@ void ServerNode::InstallHandlers() {
     }
     // strict: the owner must have applied at least the client's seq;
     // bounded: may trail by `staleness`; eventual/off/tail: no gate.
+    const uint64_t seq = read.token.seq;
     uint64_t min_epoch = 0;
-    if (mode == 1) {
-      min_epoch = token_seq;
-    } else if (mode == 2) {
-      min_epoch = token_seq > staleness ? token_seq - staleness : 0;
+    if (read.mode == replication::ReadMode::kStrict) {
+      min_epoch = seq;
+    } else if (read.mode == replication::ReadMode::kBounded) {
+      min_epoch = seq > read.staleness_epochs ? seq - read.staleness_epochs : 0;
     }
     uint32_t tenant = request.tenant;
     if (!AdmitTenant(tenant, &respond)) return;
     int64_t deadline_us = request.deadline_us;
     node_->RunOnLane(
-        oid_str, [this, oid = std::move(oid_str), method = std::string(method),
-                  argument = std::string(argument), min_epoch, deadline_us,
+        oid_str, [this, oid = std::move(oid_str),
+                  method = std::string(read.method),
+                  argument = std::string(read.argument), min_epoch, deadline_us,
                   tenant, respond](runtime::Runtime& rt) mutable {
           if (deadline_us != 0 && net::EventLoop::NowUs() > deadline_us) {
             server_.RecordShed();
@@ -278,13 +275,9 @@ void ServerNode::InstallHandlers() {
             respond(result.status());
             return;
           }
-          // Response: varint64 epoch (0 — no config epochs on the real
-          // path) | varint64 apply-seq | length-prefixed result.
-          std::string out;
-          PutVarint64(&out, 0);
-          PutVarint64(&out, node_->apply_epoch());
-          PutLengthPrefixed(&out, *result);
-          respond(std::move(out));
+          // Epoch 0: the real path has no config epochs.
+          respond(replication::EncodeTokenWrapped({0, node_->apply_epoch()},
+                                                  *result));
         },
         tenant);
   });

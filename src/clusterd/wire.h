@@ -96,8 +96,8 @@ std::string EncodeInstall(coord::ShardId shard, std::string_view oid,
 bool DecodeInstall(std::string_view payload, coord::ShardId* shard,
                    std::string_view* oid, std::string_view* batch_rep);
 
-// lambda.invoke / lambda.create payloads (shared with net::RemoteClient
-// and tools/lambdastore_server; the token is optional on the wire so
+// lambda.invoke / lambda.create payloads (shared by clusterd::Client and
+// clusterd::ServerNode; the token is optional on the wire so
 // node-to-node forwards can omit it).
 std::string EncodeInvoke(std::string_view oid, std::string_view method,
                          std::string_view argument, std::string_view token);

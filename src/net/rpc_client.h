@@ -13,9 +13,8 @@
 // backoff) queue and are written once the socket is ready. When a
 // connection drops, calls already on the wire fail with Unavailable
 // (the caller cannot know whether they executed — retry with an
-// idempotency token, see net::RemoteClient) and the client re-dials
-// with exponential backoff + jitter, the same policy the sim client
-// uses (cluster/client.h). Queued-but-unsent calls survive a reconnect:
+// idempotency token, see clusterd::Client) and the client re-dials
+// with exponential backoff + jitter. Queued-but-unsent calls survive a reconnect:
 // their own deadline is the only bound on how long they wait.
 #pragma once
 
@@ -75,7 +74,7 @@ class RpcClient {
             int64_t timeout_us, Callback done, obs::TraceContext trace = {},
             uint32_t tenant = 0);
 
-  /// Blocking convenience for worker threads (benchmarks, RemoteClient).
+  /// Blocking convenience for worker threads (benchmarks, clusterd::Client).
   Result<std::string> CallSync(const std::string& address, std::string service,
                                std::string payload, int64_t timeout_us,
                                obs::TraceContext trace = {}, uint32_t tenant = 0);

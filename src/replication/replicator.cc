@@ -83,6 +83,48 @@ bool DecodeTokenWrapped(std::string_view payload, EpochToken* token,
          reader.GetLengthPrefixed(body);
 }
 
+Result<std::string> UnwrapToken(std::string_view payload, EpochToken* held) {
+  EpochToken token;
+  std::string_view body;
+  if (!DecodeTokenWrapped(payload, &token, &body)) {
+    return Status::Corruption("bad token-wrapped response");
+  }
+  if (token.epoch > held->epoch) {
+    *held = token;
+  } else if (token.epoch == held->epoch) {
+    held->seq = std::max(held->seq, token.seq);
+  }
+  return std::string(body);
+}
+
+std::string EncodeReadRequest(const ReadRequest& request) {
+  std::string out;
+  PutLengthPrefixed(&out, request.oid);
+  PutLengthPrefixed(&out, request.method);
+  PutLengthPrefixed(&out, request.argument);
+  PutVarint32(&out, static_cast<uint32_t>(request.mode));
+  PutVarint64(&out, request.token.epoch);
+  PutVarint64(&out, request.token.seq);
+  PutVarint64(&out, request.staleness_epochs);
+  return out;
+}
+
+bool DecodeReadRequest(std::string_view payload, ReadRequest* request) {
+  Reader reader{payload};
+  uint32_t mode = 0;
+  if (!reader.GetLengthPrefixed(&request->oid) ||
+      !reader.GetLengthPrefixed(&request->method) ||
+      !reader.GetLengthPrefixed(&request->argument) ||
+      !reader.GetVarint32(&mode) || !reader.GetVarint64(&request->token.epoch) ||
+      !reader.GetVarint64(&request->token.seq) ||
+      !reader.GetVarint64(&request->staleness_epochs) ||
+      mode > static_cast<uint32_t>(ReadMode::kTail)) {
+    return false;
+  }
+  request->mode = static_cast<ReadMode>(mode);
+  return true;
+}
+
 Replicator::Replicator(sim::RpcEndpoint* rpc, storage::DB* db, Mode mode)
     : rpc_(rpc), db_(db), mode_(mode) {
   rpc_->Handle("repl.apply", [this](sim::NodeId from, obs::TraceContext trace,

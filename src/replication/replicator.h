@@ -70,6 +70,27 @@ std::string EncodeTokenWrapped(const EpochToken& token, std::string_view body);
 bool DecodeTokenWrapped(std::string_view payload, EpochToken* token,
                         std::string_view* body);
 
+/// Client side of a token-wrapped reply: decodes it, folds its token
+/// into `held` (a newer config epoch supersedes; within an epoch the
+/// sequence only advances) and returns the body.
+Result<std::string> UnwrapToken(std::string_view payload, EpochToken* held);
+
+/// "lambda.read" request, the same on the sim and the real stack:
+/// LP oid | LP method | LP arg | varint32 mode | varint64 token.epoch |
+/// varint64 token.seq | varint64 staleness. The same payload works at a
+/// bounce target: the primary ignores the gate (it always serves).
+struct ReadRequest {
+  std::string_view oid;
+  std::string_view method;
+  std::string_view argument;
+  ReadMode mode = ReadMode::kPrimaryOnly;
+  EpochToken token;
+  uint64_t staleness_epochs = 0;
+};
+std::string EncodeReadRequest(const ReadRequest& request);
+/// False on a torn payload or a mode above kTail.
+bool DecodeReadRequest(std::string_view payload, ReadRequest* request);
+
 class Replicator {
  public:
   /// Registers the "repl.apply" / "repl.chain" services on `rpc`.

@@ -215,44 +215,16 @@ bool ParallelNode::PopJob(Lane* lane, std::function<void()>* job) {
 
 void ParallelNode::InvokeAsync(ObjectId oid, std::string method,
                                std::string argument, std::string token,
-                               Callback done, std::function<bool()> shed,
-                               tenant::TenantId tenant) {
+                               Callback done, tenant::TenantId tenant) {
   size_t lane_index = LaneFor(oid);
   Runtime* rt = lanes_[lane_index]->runtime.get();
   Enqueue(lane_index,
           [rt, oid = std::move(oid), method = std::move(method),
            argument = std::move(argument), token = std::move(token),
-           done = std::move(done), shed = std::move(shed), tenant]() mutable {
-            // Shed decision happens here — at execution time, not enqueue
-            // time — because the interesting case is a deadline that
-            // expired while the job sat behind a busy lane.
-            if (shed && shed()) {
-              done(Status::Timeout("deadline expired before execution"));
-              return;
-            }
+           done = std::move(done), tenant]() mutable {
             done(RunSync(rt->Invoke(std::move(oid), std::move(method),
                                     std::move(argument), {}, std::move(token),
                                     tenant)));
-          },
-          tenant);
-}
-
-void ParallelNode::CreateObjectAsync(ObjectId oid, std::string type_name,
-                                     std::string token, Callback done,
-                                     std::function<bool()> shed,
-                                     tenant::TenantId tenant) {
-  size_t lane_index = LaneFor(oid);
-  Runtime* rt = lanes_[lane_index]->runtime.get();
-  Enqueue(lane_index,
-          [rt, oid = std::move(oid), type_name = std::move(type_name),
-           token = std::move(token), done = std::move(done),
-           shed = std::move(shed)]() mutable {
-            if (shed && shed()) {
-              done(Status::Timeout("deadline expired before execution"));
-              return;
-            }
-            done(RunSync(rt->CreateObject(std::move(oid), std::move(type_name),
-                                          std::move(token))));
           },
           tenant);
 }
@@ -269,7 +241,7 @@ std::future<Result<std::string>> ParallelNode::Invoke(ObjectId oid,
               [promise](Result<std::string> result) {
                 promise->set_value(std::move(result));
               },
-              {}, tenant);
+              tenant);
   return future;
 }
 
@@ -278,11 +250,15 @@ std::future<Result<std::string>> ParallelNode::CreateObject(
     tenant::TenantId tenant) {
   auto promise = std::make_shared<std::promise<Result<std::string>>>();
   auto future = promise->get_future();
-  CreateObjectAsync(std::move(oid), std::move(type_name), std::move(token),
-                    [promise](Result<std::string> result) {
-                      promise->set_value(std::move(result));
-                    },
-                    {}, tenant);
+  size_t lane_index = LaneFor(oid);
+  Runtime* rt = lanes_[lane_index]->runtime.get();
+  Enqueue(lane_index,
+          [rt, promise, oid = std::move(oid), type_name = std::move(type_name),
+           token = std::move(token)]() mutable {
+            promise->set_value(RunSync(rt->CreateObject(
+                std::move(oid), std::move(type_name), std::move(token))));
+          },
+          tenant);
   return future;
 }
 

@@ -115,20 +115,12 @@ class ParallelNode {
                                                 tenant::TenantId tenant = 0);
 
   using Callback = std::function<void(Result<std::string>)>;
-  /// Callback-style Invoke for async servers (net::RpcServer handlers):
-  /// `done` runs on the lane thread once the invocation is durable, so
-  /// the caller's thread never blocks on a future. If `shed` is set it is
-  /// checked on the lane thread just before execution; returning true
-  /// skips the work and completes with Status::Timeout — how a server
-  /// drops queued requests whose client deadline expired while they
-  /// waited behind a busy lane.
+  /// Callback-style Invoke: `done` runs on the lane thread once the
+  /// invocation is durable, so the caller's thread never blocks on a
+  /// future.
   void InvokeAsync(ObjectId oid, std::string method, std::string argument,
                    std::string token, Callback done,
-                   std::function<bool()> shed = {},
                    tenant::TenantId tenant = 0);
-  void CreateObjectAsync(ObjectId oid, std::string type_name, std::string token,
-                         Callback done, std::function<bool()> shed = {},
-                         tenant::TenantId tenant = 0);
 
   /// True if this node should execute `oid` itself; false routes the
   /// nested invocation to `invoke` (an async peer call, e.g. RPC to the

@@ -3,13 +3,18 @@
 // including primary failover under load and microshard migration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
+#include <vector>
 
 #include "baseline/deployment.h"
 #include "cluster/deployment.h"
+#include "cluster/retry.h"
 #include "common/coding.h"
+#include "common/rng.h"
 #include "retwis/driver.h"
 #include "retwis/retwis.h"
 #include "retwis/workload.h"
@@ -133,6 +138,23 @@ TEST_F(AggregatedRetwisTest, FailoverPromotesBackupAndClientRetries) {
   ASSERT_EQ(posts->size(), 1u);
   EXPECT_EQ((*posts)[0].message, "post after failover");
   EXPECT_GT(client_->metrics().retries, 0u);
+}
+
+TEST_F(AggregatedRetwisTest, PrimaryReadCountsOneRequest) {
+  ASSERT_TRUE(Create("user/r").ok());
+  ASSERT_TRUE(Invoke("user/r", "init", "r").ok());
+  const uint64_t before = client_->metrics().requests;
+  Result<std::string> out = Status::Unavailable("not run");
+  bool done = false;
+  Detach([](Client* client, Result<std::string>* out, bool* done) -> Task<void> {
+    *out = co_await client->InvokeRead("user/r", "get_timeline",
+                                       retwis::EncodeU64(5));
+    *done = true;
+  }(client_, &out, &done));
+  while (!done) ASSERT_TRUE(sim_.Step());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // kPrimaryOnly (the default) sends the read straight to the primary.
+  EXPECT_EQ(client_->metrics().requests - before, 1u);
 }
 
 TEST_F(AggregatedRetwisTest, ResultCacheServesRepeatedTimelines) {
@@ -633,6 +655,130 @@ TEST(ShardMapTest, EmptyMapRoutesToZero) {
   ShardMap dangling(state);
   EXPECT_EQ(dangling.ShardFor("user/ghost"), 9u);
   EXPECT_EQ(dangling.PrimaryFor("user/ghost"), 0u);
+}
+
+// --- RetryPolicy ---------------------------------------------------------
+
+// The policy with no transport: an injected nanosecond clock that a
+// scripted client advances by every pause, as its sleep would.
+class RetryPolicyTest : public ::testing::Test {
+ public:
+  RetryPolicy Make(int64_t budget_ns = RetryPolicy::kDefaultBudgetNs,
+                   bool follows_redirects = true) {
+    return RetryPolicy([this] { return now_; }, &rng_, budget_ns,
+                       follows_redirects, &counters_);
+  }
+
+  /// Plays a client whose attempts fail with `failures` in turn; returns
+  /// the status it surfaces, or OK if it would still re-send.
+  Status Drive(RetryPolicy& retry, const std::vector<Status>& failures) {
+    for (const Status& failure : failures) {
+      std::optional<int64_t> pause = retry.Next(failure.code());
+      if (!pause) return failure;
+      now_ += *pause;
+    }
+    return Status::OK();
+  }
+
+  int64_t now_ = 0;
+  Rng rng_{7};
+  RetryPolicy::Counters counters_;
+};
+
+TEST_F(RetryPolicyTest, ThrottlePausesUseNoAttemptAndEndAfterTheSixteenth) {
+  RetryPolicy retry = Make();
+  for (int i = 0; i < RetryPolicy::kMaxThrottles; i++) {
+    EXPECT_EQ(retry.Next(StatusCode::kTenantThrottled),
+              RetryPolicy::kThrottlePauseNs);
+    now_ += RetryPolicy::kThrottlePauseNs;
+  }
+  // The sixteen pauses left all eight attempts: seven back off, the
+  // eighth failure surfaces.
+  for (int i = 1; i < RetryPolicy::kMaxAttempts; i++) {
+    std::optional<int64_t> pause = retry.Next(StatusCode::kUnavailable);
+    ASSERT_TRUE(pause.has_value()) << "attempt " << i;
+    now_ += *pause;
+  }
+  EXPECT_FALSE(retry.Next(StatusCode::kUnavailable).has_value());
+  EXPECT_EQ(counters_.retries, 7u);
+  EXPECT_EQ(counters_.throttled, 16u);
+
+  // The seventeenth throttle of one request surfaces.
+  RetryPolicy throttled = Make();
+  std::vector<Status> failures(RetryPolicy::kMaxThrottles + 1,
+                               Status::TenantThrottled("over share"));
+  EXPECT_EQ(Drive(throttled, failures).code(), StatusCode::kTenantThrottled);
+  EXPECT_EQ(counters_.throttled, 33u);
+  EXPECT_EQ(counters_.budget_exhausted, 0u);
+}
+
+TEST_F(RetryPolicyTest, BudgetExhaustionSurfacesLastStatus) {
+  // 50 ms holds the first two backoffs (at most 12.5 + 25 ms) but not
+  // the third (at least 30 ms).
+  RetryPolicy retry = Make(/*budget_ns=*/50'000'000);
+  Status surfaced = Drive(retry, {Status::Unavailable("down"),
+                                  Status::Timeout("slow"),
+                                  Status::NotPrimary("moved"),
+                                  Status::Unavailable("never reached")});
+  EXPECT_EQ(surfaced.code(), StatusCode::kNotPrimary);
+  EXPECT_EQ(counters_.retries, 2u);
+  EXPECT_EQ(counters_.budget_exhausted, 1u);
+
+  // A throttle pause that would cross the deadline surfaces as well.
+  RetryPolicy tight = Make(/*budget_ns=*/RetryPolicy::kThrottlePauseNs);
+  EXPECT_EQ(Drive(tight, {Status::TenantThrottled("over share")}).code(),
+            StatusCode::kTenantThrottled);
+  EXPECT_EQ(counters_.budget_exhausted, 2u);
+
+  // Application errors surface at once, with no pause and no count.
+  RetryPolicy fatal = Make();
+  EXPECT_FALSE(fatal.Next(StatusCode::kInvalidArgument).has_value());
+  EXPECT_EQ(counters_.retries, 2u);
+}
+
+TEST_F(RetryPolicyTest, RedirectsStopAfterFourThenBackOff) {
+  RetryPolicy retry = Make();
+  for (int i = 0; i < RetryPolicy::kMaxRedirects; i++) {
+    EXPECT_EQ(retry.Next(StatusCode::kWrongShard, /*rerouted=*/true), 0);
+  }
+  std::optional<int64_t> pause =
+      retry.Next(StatusCode::kWrongShard, /*rerouted=*/true);
+  ASSERT_TRUE(pause.has_value());
+  EXPECT_GE(*pause, RetryPolicy::kBackoffNs * 3 / 4);
+  EXPECT_LE(*pause, RetryPolicy::kBackoffNs * 5 / 4);
+  EXPECT_EQ(counters_.redirects, 4u);
+  EXPECT_EQ(counters_.retries, 1u);
+
+  // A bounce the client could not re-route (its refresh failed) backs
+  // off too; a client with no directory surfaces it at once.
+  RetryPolicy stale = Make();
+  EXPECT_TRUE(stale.Next(StatusCode::kWrongShard).has_value());
+  EXPECT_EQ(counters_.retries, 2u);
+  RetryPolicy standalone = Make(RetryPolicy::kDefaultBudgetNs,
+                                /*follows_redirects=*/false);
+  EXPECT_FALSE(standalone.Next(StatusCode::kWrongShard, true).has_value());
+  EXPECT_EQ(counters_.redirects, 4u);
+  EXPECT_EQ(counters_.retries, 2u);
+}
+
+TEST_F(RetryPolicyTest, PausesFollowJitteredDoublingScheduleCapped) {
+  for (uint64_t seed = 1; seed <= 20; seed++) {
+    rng_ = Rng(seed);
+    RetryPolicy retry = Make(/*budget_ns=*/int64_t{60'000'000'000});
+    int64_t base = RetryPolicy::kBackoffNs;
+    for (int i = 1; i < RetryPolicy::kMaxAttempts; i++) {
+      std::optional<int64_t> pause = retry.Next(StatusCode::kTimeout);
+      ASSERT_TRUE(pause.has_value()) << "seed " << seed << " attempt " << i;
+      EXPECT_GE(*pause, base * 3 / 4) << "seed " << seed << " attempt " << i;
+      EXPECT_LE(*pause, base * 5 / 4) << "seed " << seed << " attempt " << i;
+      now_ += *pause;
+      base = std::min(base * 2, RetryPolicy::kMaxBackoffNs);
+    }
+    EXPECT_EQ(base, int64_t{160'000'000});
+    EXPECT_FALSE(retry.Next(StatusCode::kTimeout).has_value());
+  }
+  EXPECT_EQ(counters_.retries, 20u * 7u);
+  EXPECT_EQ(counters_.budget_exhausted, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // processes over loopback TCP, driven through clusterd::Client. Covers
 // directory routing across nodes, kWrongShard redirects, live object
 // migration under concurrent writers (no acked commit lost or
-// duplicated), the kill-a-server-during-migration fault path, and the
-// SIGTERM graceful-drain contract of the server binary.
+// duplicated), the kill-a-server-during-migration fault path, the
+// server's read-mode gate, and the SIGTERM graceful-drain contract of
+// the server binary.
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
@@ -27,6 +28,7 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "net/rpc_client.h"
+#include "replication/replicator.h"
 #include "retwis/retwis.h"
 
 extern char** environ;
@@ -256,7 +258,8 @@ TEST(ClusterdCluster, EpochGatedReadsAreMonotonic) {
   Cluster cluster = Cluster::Start(2);
 
   ClientOptions options;
-  options.remote.read_mode = 1;  // strict: reads gated on the apply token
+  // Strict: reads gated on the apply token.
+  options.read_mode = replication::ReadMode::kStrict;
   Client client(&rpc, cluster.coordinator.address(), options);
   const std::string oid = "user/rr";
   ASSERT_TRUE(client.Create(oid, "user").ok());
@@ -279,7 +282,7 @@ TEST(ClusterdCluster, EpochGatedReadsAreMonotonic) {
   // Later reads never regress the token (monotonic reads across retries).
   auto again = client.InvokeRead(oid, "get_timeline", retwis::EncodeU64(10));
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_GE(client.read_token().second, seq);
+  EXPECT_GE(client.read_token().seq, seq);
 }
 
 TEST(ClusterdCluster, MigrationMovesObjectAndClientFollows) {
@@ -330,7 +333,7 @@ TEST(ClusterdCluster, MigrationUnderConcurrentWritesLosesNothing) {
   for (int w = 0; w < kWriters; w++) {
     writers.emplace_back([&, w] {
       ClientOptions options;
-      options.remote.seed = 1000 + static_cast<uint64_t>(w);
+      options.seed = 1000 + static_cast<uint64_t>(w);
       Client client(&rpc, cluster.coordinator.address(), options);
       for (int i = 0; i < kPostsPerWriter; i++) {
         std::string message =
@@ -404,6 +407,28 @@ TEST(ClusterdFaults, KillTargetDuringMigrationRollsBack) {
   EXPECT_GE(failures, 1u);
 }
 
+TEST(ClusterdServer, ReadRejectsModeAboveTail) {
+  Proc server = SpawnDaemon(ServerBinary(), {"--lanes=2"});
+  net::RpcClient rpc;
+  auto client = Client::Standalone(&rpc, server.address());
+  ASSERT_TRUE(client.Create("user/1", "user").ok());
+  // The same payload with a known mode is served; mode 9 is no mode.
+  const std::string limit = retwis::EncodeU64(10);
+  replication::ReadRequest read;
+  read.oid = "user/1";
+  read.method = "get_timeline";
+  read.argument = limit;
+  read.mode = replication::ReadMode::kEventual;
+  auto served = rpc.CallSync(server.address(), "lambda.read",
+                             replication::EncodeReadRequest(read), 1'000'000);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  read.mode = static_cast<replication::ReadMode>(9);
+  auto rejected = rpc.CallSync(server.address(), "lambda.read",
+                               replication::EncodeReadRequest(read), 1'000'000);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
+}
+
 TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {
   char db_template[] = "/tmp/clusterd_drain_XXXXXX";
   ASSERT_NE(mkdtemp(db_template), nullptr);
@@ -412,7 +437,7 @@ TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {
   Proc server = SpawnDaemon(ServerBinary(), {"--db=" + db_path, "--lanes=2"});
   {
     net::RpcClient rpc;
-    net::RemoteClient client(&rpc, {server.address()});
+    auto client = Client::Standalone(&rpc, server.address());
     ASSERT_TRUE(client.Create("user/1", "user").ok());
     ASSERT_TRUE(
         client.Invoke("user/1", "store_post", PostBlob("a", 1, "durable")).ok());
@@ -425,7 +450,7 @@ TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {
   // A restart from the same path sees every acked commit.
   Proc restarted = SpawnDaemon(ServerBinary(), {"--db=" + db_path, "--lanes=2"});
   net::RpcClient rpc;
-  net::RemoteClient client(&rpc, {restarted.address()});
+  auto client = Client::Standalone(&rpc, restarted.address());
   auto timeline = client.Invoke("user/1", "get_timeline", retwis::EncodeU64(10));
   ASSERT_TRUE(timeline.ok()) << timeline.status().ToString();
   EXPECT_EQ(TimelineMessages(*timeline).count("durable"), 1u);

@@ -3,9 +3,9 @@
 // (timers, cross-thread RunInLoop), the TCP RPC client/server pair
 // (echo, multiplexing under threads, deadline expiry and server-side
 // shedding, reconnect with backoff across a server restart), the
-// RemoteClient retry policy, and a multi-process loopback smoke test
-// that spawns the real lambdastore-server binary and runs a small
-// ReTwis slice against it.
+// clusterd::Client retry policy over real sockets, and a multi-process
+// loopback smoke test that spawns the real lambdastore-server binary
+// and runs a small ReTwis slice against it.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -33,11 +33,11 @@ extern char** environ;
 
 #include <sys/uio.h>
 
+#include "clusterd/client.h"
 #include "common/coding.h"
 #include "common/rng.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
-#include "net/remote_client.h"
 #include "net/rpc_client.h"
 #include "net/rpc_server.h"
 #include "net/send_queue.h"
@@ -511,7 +511,7 @@ TEST(Rpc, MultiplexedEchoConcurrent) {
   server.Stop();
 }
 
-TEST(RemoteClient, RetriesTransientFailuresWithSameToken) {
+TEST(ClusterdClient, RetriesTransientFailuresWithSameToken) {
   std::atomic<int> attempts{0};
   std::mutex tokens_mu;
   std::vector<std::string> tokens;
@@ -541,34 +541,31 @@ TEST(RemoteClient, RetriesTransientFailuresWithSameToken) {
   ASSERT_TRUE(server.Start().ok());
 
   RpcClient rpc;
-  RemoteClientOptions options;
-  options.retry_backoff_us = 1'000;  // keep the test fast
-  options.retry_backoff_max_us = 4'000;
-  RemoteClient remote(&rpc, {"127.0.0.1:" + std::to_string(server.port())},
-                      options);
-  auto result = remote.Invoke("user1", "get_timeline", "10");
+  auto client = clusterd::Client::Standalone(
+      &rpc, "127.0.0.1:" + std::to_string(server.port()));
+  auto result = client.Invoke("user1", "get_timeline", "10");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, "ok:10");
-  EXPECT_EQ(remote.metrics().retries, 2u);
+  EXPECT_EQ(client.metrics().retries, 2u);
   ASSERT_EQ(tokens.size(), 3u);
   // Idempotency: every retry of one logical request reuses one token.
   EXPECT_EQ(tokens[0], tokens[1]);
   EXPECT_EQ(tokens[1], tokens[2]);
 
   // Application errors surface immediately, no retry.
-  uint64_t retries_before = remote.metrics().retries;
-  auto created = remote.Create("user2", "nosuch");
+  uint64_t retries_before = client.metrics().retries;
+  auto created = client.Create("user2", "nosuch");
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(remote.metrics().retries, retries_before);
+  EXPECT_EQ(client.metrics().retries, retries_before);
 
   rpc.Stop();
   server.Stop();
 }
 
-TEST(RemoteClient, WrongShardSurfacesTypedStatusAndRedirectsWithHook) {
+TEST(ClusterdClient, WrongShardSurfacesStandaloneAndRedirectsViaDirectory) {
   // `wrong` always bounces; `right` serves. A directory-routed client
-  // starts with a stale route to `wrong` and must follow the redirect.
+  // first learns a stale route to `wrong` and must follow the redirect.
   RpcServer wrong;
   wrong.Handle("lambda.invoke",
                [](RpcServer::Request, RpcServer::Responder respond) {
@@ -584,36 +581,47 @@ TEST(RemoteClient, WrongShardSurfacesTypedStatusAndRedirectsWithHook) {
   const std::string wrong_address = "127.0.0.1:" + std::to_string(wrong.port());
   const std::string right_address = "127.0.0.1:" + std::to_string(right.port());
 
+  // A coordinator stand-in whose directory first names the bouncing
+  // server as the one shard's primary, then the serving one.
+  std::atomic<uint64_t> fetches{0};
+  RpcServer coordinator;
+  coordinator.Handle(
+      clusterd::kSvcGetConfig,
+      [&](RpcServer::Request, RpcServer::Responder respond) {
+        clusterd::ClusterView view;
+        view.version = fetches.fetch_add(1) + 1;
+        view.state.shards[0] = coord::ShardConfig{1, 1, {}};
+        view.addresses[1] = view.version == 1 ? wrong_address : right_address;
+        respond(view.Encode());
+      });
+  ASSERT_TRUE(coordinator.Start().ok());
+
   RpcClient rpc;
-  // Without a misroute hook the typed status surfaces immediately — no
-  // backoff, no burned retry budget.
+  // A standalone client has no directory to refresh: the typed status
+  // surfaces immediately — no backoff, no burned retry budget.
   {
-    RemoteClient remote(&rpc, {wrong_address});
-    auto result = remote.Invoke("user1", "get_timeline", "10");
+    auto client = clusterd::Client::Standalone(&rpc, wrong_address);
+    auto result = client.Invoke("user1", "get_timeline", "10");
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kWrongShard);
-    EXPECT_EQ(remote.metrics().retries, 0u);
-    EXPECT_EQ(remote.metrics().redirects, 0u);
+    EXPECT_EQ(client.metrics().retries, 0u);
+    EXPECT_EQ(client.metrics().redirects, 0u);
   }
-  // With a hook the bounce is a cheap fast-path: refresh the directory,
-  // re-send straight to the new owner, count a redirect — not a retry.
+  // A directory-routed client answers the bounce on the cheap fast
+  // path: refresh the directory, re-send straight to the new owner,
+  // count a redirect — not a retry.
   {
-    RemoteClient remote(&rpc, {wrong_address});
-    bool refreshed = false;
-    remote.SetRouter([&](const std::string&) {
-      return refreshed ? right_address : wrong_address;
-    });
-    remote.SetOnMisroute([&] {
-      refreshed = true;
-      return true;
-    });
-    auto result = remote.Invoke("user1", "get_timeline", "10");
+    clusterd::Client client(&rpc,
+                            "127.0.0.1:" + std::to_string(coordinator.port()));
+    auto result = client.Invoke("user1", "get_timeline", "10");
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(*result, "served");
-    EXPECT_EQ(remote.metrics().redirects, 1u);
-    EXPECT_EQ(remote.metrics().retries, 0u);
+    EXPECT_EQ(client.metrics().redirects, 1u);
+    EXPECT_EQ(client.metrics().retries, 0u);
+    EXPECT_EQ(client.metrics().directory_refreshes, 2u);
   }
   rpc.Stop();
+  coordinator.Stop();
   right.Stop();
   wrong.Stop();
 }
@@ -1033,8 +1041,9 @@ TEST(MultiProcess, LoopbackRetwisSlice) {
 
   {
     RpcClient rpc;
-    RemoteClient remote(&rpc, {"127.0.0.1:" + std::to_string(port)});
-    ASSERT_TRUE(remote.Ping().ok());
+    const std::string address = "127.0.0.1:" + std::to_string(port);
+    ASSERT_TRUE(rpc.CallSync(address, "ping", "ping", 1'000'000).ok());
+    auto remote = clusterd::Client::Standalone(&rpc, address);
 
     // Fresh object end-to-end: create, init, post twice, read the
     // timeline back.
@@ -1068,7 +1077,7 @@ TEST(MultiProcess, LoopbackRetwisSlice) {
     ASSERT_TRUE(seeded_posts.ok());
     EXPECT_FALSE(seeded_posts->empty());
 
-    remote.Shutdown();
+    (void)rpc.CallSync(address, "admin.shutdown", "", 1'000'000);
     rpc.Stop();
   }
 

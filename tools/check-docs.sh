@@ -2,9 +2,10 @@
 # Documentation drift checks, run as part of the default ctest suite
 # (test name: check_docs):
 #   1. every relative markdown link resolves to an existing file;
-#   2. every LO_* environment knob referenced anywhere in the code
+#   2. every backticked source or doc path resolves to an existing file;
+#   3. every LO_* environment knob referenced anywhere in the code
 #      appears in docs/tuning.md, the canonical knob table;
-#   3. every LO_* name in docs/tuning.md is still read by the code, and
+#   4. every LO_* name in docs/tuning.md is still read by the code, and
 #      every --flag row in its server/coordinator flag tables is still
 #      parsed by that tool, so a deleted knob cannot outlive its code.
 set -u
@@ -50,6 +51,36 @@ if [ -n "$broken" ]; then
   exit 1
 fi
 echo "all documentation links resolve"
+
+# Stale path references: a backticked path with a directory part and a
+# source or doc extension must name an existing file, relative to the
+# repo root, to src/ (headers are quoted by their include path), or to
+# the markdown file's own directory. Exempt are CHANGES.md, the history,
+# and task lists (files with "- [ ]" items), which plan changes and so
+# name files that do not exist yet or no longer exist.
+stale_paths=$(
+  find "$root" \
+    -name '.git' -prune -o -name 'build*' -prune -o \
+    -name '*.md' -print | while read -r md; do
+    [ "${md#"$root"/}" = CHANGES.md ] && continue
+    grep -qE '^[[:space:]]*[-*] \[[ xX]\] ' "$md" && continue
+    dir="$(dirname "$md")"
+    awk '/^[[:space:]]*```/ { in_code = !in_code; next } !in_code' "$md" |
+      grep -oE '`[^`]+`' | tr -d '`' |
+      grep -E '^[A-Za-z0-9_./-]+/[A-Za-z0-9_.-]+\.(h|cc|cpp|py|sh|json|md)$' |
+      while read -r path; do
+        if [ ! -e "$root/$path" ] && [ ! -e "$root/src/$path" ] &&
+          [ ! -e "$dir/$path" ]; then
+          echo "STALE PATH: ${md#"$root"/} -> $path"
+        fi
+      done
+  done
+)
+if [ -n "$stale_paths" ]; then
+  echo "$stale_paths"
+  exit 1
+fi
+echo "all backticked paths resolve"
 
 # Knob drift: every LO_* environment variable the code reads must be
 # documented in docs/tuning.md. Only quoted literals in C++ sources
