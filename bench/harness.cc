@@ -75,8 +75,6 @@ void ApplyParallelismKnobs(const ExperimentConfig& config,
   if (lanes > 0) node->runtime.lanes = static_cast<size_t>(lanes);
   int64_t gc_bytes = int_env("LO_GC_BYTES", -1);
   if (gc_bytes > 0) node->gc_max_batch_bytes = static_cast<size_t>(gc_bytes);
-  int64_t gc_delay = int_env("LO_GC_DELAY_US", -1);
-  if (gc_delay >= 0) node->gc_max_batch_delay = sim::Micros(gc_delay);
   int64_t cache_mb = int_env("LO_BLOCK_CACHE_MB", -1);
   if (cache_mb >= 0) {
     node->db_block_cache_bytes = static_cast<size_t>(cache_mb) << 20;
@@ -91,9 +89,6 @@ void ApplyParallelismKnobs(const ExperimentConfig& config,
   if (config.lanes > 0) node->runtime.lanes = config.lanes;
   if (config.gc_max_batch_bytes > 0) {
     node->gc_max_batch_bytes = config.gc_max_batch_bytes;
-  }
-  if (config.gc_max_batch_delay_us >= 0) {
-    node->gc_max_batch_delay = sim::Micros(config.gc_max_batch_delay_us);
   }
   if (config.block_cache_mb >= 0) {
     node->db_block_cache_bytes = static_cast<size_t>(config.block_cache_mb)

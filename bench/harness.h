@@ -40,12 +40,11 @@ struct ExperimentConfig {
   bool quick = false;  // shrunk parameters for smoke runs
   /// Parallelism knobs (0 / -1 = keep the node defaults). Set explicitly
   /// by ablation sweeps; every bench also honors the LO_LANES /
-  /// LO_GC_BYTES / LO_GC_DELAY_US / LO_BLOCK_CACHE_MB /
-  /// LO_MEMTABLE_SHARDS / LO_SUBCOMPACTIONS / LO_COMPACTION_RATE_MB env
-  /// vars (explicit config wins). See docs/tuning.md for the full table.
+  /// LO_GC_BYTES / LO_BLOCK_CACHE_MB / LO_MEMTABLE_SHARDS /
+  /// LO_SUBCOMPACTIONS / LO_COMPACTION_RATE_MB env vars (explicit config
+  /// wins). See docs/tuning.md for the full table.
   size_t lanes = 0;                  // execution lanes per storage node
   size_t gc_max_batch_bytes = 0;     // WAL group-commit size bound
-  int64_t gc_max_batch_delay_us = -1;  // WAL group-commit window
   int64_t block_cache_mb = -1;       // SSTable block cache (0 = off)
   int memtable_shards = 0;           // LSM memtable shards (0 = default 1)
   int subcompactions = 0;            // parallel sub-compactions (0 = default 1)

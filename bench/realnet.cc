@@ -91,10 +91,6 @@ void SpawnServer(const RealNetConfig& net, const ExperimentConfig& config,
                          ? static_cast<int64_t>(config.gc_max_batch_bytes)
                          : IntEnv("LO_GC_BYTES", -1);
   if (gc_bytes > 0) args.push_back("--gc-bytes=" + std::to_string(gc_bytes));
-  int64_t gc_delay = config.gc_max_batch_delay_us >= 0
-                         ? config.gc_max_batch_delay_us
-                         : IntEnv("LO_GC_DELAY_US", -1);
-  if (gc_delay >= 0) args.push_back("--gc-delay-us=" + std::to_string(gc_delay));
   SpawnWithArgs(std::move(args), server);
 }
 

@@ -134,34 +134,43 @@ struct Node {
 };
 
 // Measured node capacity in ops/sec: batches of concurrent InvokeAsync
-// spins keeping every lane busy for ~300 ms. Measuring through the same
-// concurrent path the experiment uses (not sequentially × lane count)
-// keeps the calibration honest on machines where parallel scaling is
-// poor — under TSan the sequential estimate is several times too high,
-// which would overload even the protected arm.
+// spins keeping every lane busy, in ~300 ms rounds for ~2 s, best round
+// wins. Measuring through the same concurrent path the experiment uses
+// (not sequentially × lane count) keeps the calibration honest on
+// machines where parallel scaling is poor — under TSan the sequential
+// estimate is several times too high, which would overload even the
+// protected arm. Taking the best round keeps it honest on hosts whose
+// idle CPUs run the first second or so of a burst about 3x slower: a
+// single round read there leaves the aggressor's peak under the node's
+// real capacity, so the off arm never builds the backlog it measures.
 double MeasureCapacity() {
   Node warm(nullptr);
   // Warm the VM path.
   LO_CHECK(warm.node->Invoke(Oid(kVictim, 0), "spin", "").get().ok());
-  int64_t started = NowUs();
-  int completed = 0;
-  while (NowUs() - started < 300'000 && completed < 2000) {
-    constexpr int kBatch = 32;
-    std::atomic<int> batch_done{0};
-    for (int i = 0; i < kBatch; i++) {
-      warm.node->InvokeAsync(
-          Oid(kVictim, (completed + i) % kObjectsPerTenant), "spin", "", "",
-          [&batch_done](Result<std::string>) {
-            batch_done.fetch_add(1, std::memory_order_release);
-          });
+  double best = 0;
+  const int64_t calibration_started = NowUs();
+  while (NowUs() - calibration_started < 2'000'000) {
+    int64_t started = NowUs();
+    int completed = 0;
+    while (NowUs() - started < 300'000 && completed < 2000) {
+      constexpr int kBatch = 32;
+      std::atomic<int> batch_done{0};
+      for (int i = 0; i < kBatch; i++) {
+        warm.node->InvokeAsync(
+            Oid(kVictim, (completed + i) % kObjectsPerTenant), "spin", "", "",
+            [&batch_done](Result<std::string>) {
+              batch_done.fetch_add(1, std::memory_order_release);
+            });
+      }
+      while (batch_done.load(std::memory_order_acquire) < kBatch) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      completed += kBatch;
     }
-    while (batch_done.load(std::memory_order_acquire) < kBatch) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    completed += kBatch;
+    double elapsed_s = static_cast<double>(NowUs() - started) / 1e6;
+    best = std::max(best, static_cast<double>(completed) / elapsed_s);
   }
-  double elapsed_s = static_cast<double>(NowUs() - started) / 1e6;
-  return static_cast<double>(completed) / elapsed_s;
+  return best;
 }
 
 struct ArmResult {

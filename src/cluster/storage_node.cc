@@ -77,12 +77,6 @@ StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
 
   // The node's WAL device: serial fsyncs, group commit (the sink runs
   // once per group — one replication round per fsync, both amortized).
-  WalGroupCommitterOptions gc_options;
-  gc_options.wal_sync_latency = options.wal_sync_latency;
-  gc_options.max_batch_bytes = options.gc_max_batch_bytes;
-  gc_options.max_batch_delay = options.gc_max_batch_delay;
-  gc_options.tracer = options.tracer;
-  gc_options.node_label = id;
   group_committer_ = std::make_unique<WalGroupCommitter>(
       &net.sim(),
       [this](coord::ShardId shard, storage::WriteBatch batch,
@@ -90,7 +84,7 @@ StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
         co_return co_await replicator_->ReplicateAndApply(shard, std::move(batch),
                                                           trace);
       },
-      gc_options);
+      options.gc_max_batch_bytes, options.tracer, id);
 
   // Commit path of the runtime: through the WAL device (group commit),
   // then replicate within the object's shard.
@@ -242,10 +236,10 @@ void StorageNode::RegisterMetrics(obs::MetricsRegistry* reg) {
     return static_cast<double>(replicator_->max_applied_seq());
   });
   // WAL group commit: how well fsyncs amortize over commits.
-  const WalGroupCommitter::Stats& gc = group_committer_->stats();
+  const storage::GroupCommitStats& gc = group_committer_->stats();
   reg->RegisterExternal("gc.commits", node, &gc.commits);
   reg->RegisterExternal("gc.groups", node, &gc.groups);
-  reg->RegisterExternal("gc.synced_bytes", node, &gc.synced_bytes);
+  reg->RegisterExternal("gc.synced_bytes", node, &gc.coalesced_bytes);
   reg->RegisterExternal("gc.max_group_commits", node, &gc.max_group_commits);
   reg->RegisterExternal("gc.sync_failures", node, &gc.sync_failures);
   reg->RegisterCallback("gc.fsyncs_per_commit", node, [this] {

@@ -58,13 +58,10 @@ struct StorageNodeOptions {
   /// Compaction write-rate cap in MB/s (0 = unlimited). bench/harness
   /// reads LO_COMPACTION_RATE_MB into it.
   int db_compaction_rate_mb = 0;
-  sim::Duration wal_sync_latency = sim::Micros(80); // NVMe flush per commit
   /// WAL group commit (cluster/wal_group_commit.h): commits queued while
-  /// the shard's WAL device is busy coalesce into one fsync, bounded by
-  /// these two knobs (bench/harness reads LO_GC_BYTES / LO_GC_DELAY_US
-  /// into them).
+  /// the shard's WAL device is busy coalesce into one fsync, up to this
+  /// many bytes per group (bench/harness reads LO_GC_BYTES into it).
   size_t gc_max_batch_bytes = 1 << 20;
-  sim::Duration gc_max_batch_delay = sim::Duration(0);
   sim::Duration dispatch_overhead = sim::Micros(15);// request demux/sched
   /// Server-side CPU per raw kv op (parse + LSM + syscall path) — paid by
   /// the disaggregated baseline on every storage access.

@@ -1,83 +1,52 @@
 #include "cluster/wal_group_commit.h"
 
 #include <utility>
-#include <vector>
 
 namespace lo::cluster {
 
 WalGroupCommitter::WalGroupCommitter(sim::Simulator* sim, SyncSink sink,
-                                     WalGroupCommitterOptions options)
-    : sim_(sim), sink_(std::move(sink)), options_(options) {}
+                                     size_t max_batch_bytes,
+                                     obs::Tracer* tracer, uint32_t node_label)
+    : sim_(sim),
+      sink_(std::move(sink)),
+      max_batch_bytes_(max_batch_bytes),
+      tracer_(tracer),
+      node_label_(node_label) {}
 
 sim::Task<Status> WalGroupCommitter::Commit(coord::ShardId shard,
                                             storage::WriteBatch batch,
                                             obs::TraceContext trace) {
   if (batch.Count() == 0) co_return Status::OK();
   auto slot = std::make_shared<sim::OneShot<Status>>();
-  ShardState& state = shards_[shard];
-  state.queue.push_back(Pending{std::move(batch), trace, slot});
-  if (!state.flusher_active) {
-    state.flusher_active = true;
-    sim::Detach([](WalGroupCommitter* self, coord::ShardId shard) -> sim::Task<void> {
-      co_await self->FlushLoop(shard);
-    }(this, shard));
-  }
+  queues_[shard].push_back(Pending{std::move(batch), trace, slot});
+  if (flushing_.insert(shard).second) sim::Detach(FlushLoop(shard));
   co_return co_await slot->Wait();
 }
 
 sim::Task<void> WalGroupCommitter::FlushLoop(coord::ShardId shard) {
-  ShardState& state = shards_[shard];
-  while (!state.queue.empty()) {
-    if (options_.max_batch_delay > sim::Duration(0)) {
-      // Hold the window open; commits arriving during the wait join.
-      co_await sim_->Sleep(options_.max_batch_delay);
-    }
-    // Seal the group: everything queued, up to max_batch_bytes (always
-    // at least one member so an oversized single batch still commits).
-    std::vector<Pending> group;
-    size_t group_bytes = 0;
-    while (!state.queue.empty()) {
-      Pending& next = state.queue.front();
-      if (!group.empty() &&
-          group_bytes + next.batch.ByteSize() > options_.max_batch_bytes) {
-        break;
-      }
-      group_bytes += next.batch.ByteSize();
-      group.push_back(std::move(next));
-      state.queue.pop_front();
-    }
-
-    storage::WriteBatch combined = std::move(group.front().batch);
-    for (size_t i = 1; i < group.size(); ++i) combined.Append(group[i].batch);
+  std::deque<Pending>& queue = queues_[shard];
+  while (!queue.empty()) {
+    auto group =
+        storage::CommitGroup<Pending>::Seal(&queue, max_batch_bytes_);
 
     // One device sync for the whole group. Commits arriving during the
     // sleep queue up behind the busy device — that backpressure is where
     // the next group comes from.
     sim::Time sync_started = sim_->Now();
-    co_await sim_->Sleep(options_.wal_sync_latency);
-    if (options_.tracer != nullptr) {
-      for (const Pending& p : group) {
-        if (obs::Tracing(options_.tracer, p.trace)) {
-          options_.tracer->RecordChild(p.trace, "wal_sync", options_.node_label,
-                                       sync_started, sim_->Now());
-        }
+    co_await sim_->Sleep(kSyncLatency);
+    for (const Pending& p : group.members) {
+      if (obs::Tracing(tracer_, p.trace)) {
+        tracer_->RecordChild(p.trace, "wal_sync", node_label_, sync_started,
+                             sim_->Now());
       }
     }
-    Status status =
-        co_await sink_(shard, std::move(combined), group.front().trace);
-
-    stats_.commits += group.size();
-    stats_.groups += 1;
-    stats_.synced_bytes += group_bytes;
-    if (group.size() > stats_.max_group_commits) {
-      stats_.max_group_commits = group.size();
-    }
-    if (!status.ok()) stats_.sync_failures += 1;
-    // Fulfilling resumes the waiting invocations; any commit they submit
-    // reentrantly lands back on state.queue and keeps this loop alive.
-    for (Pending& p : group) p.slot->Fulfill(status);
+    Status status = co_await sink_(shard, std::move(group.combined),
+                                   group.members.front().trace);
+    // Resolving resumes the waiting invocations; any commit they submit
+    // reentrantly lands back on the queue and keeps this loop alive.
+    group.Resolve(status, &stats_);
   }
-  state.flusher_active = false;
+  flushing_.erase(shard);
 }
 
 }  // namespace lo::cluster

@@ -1,17 +1,15 @@
-// Simulated WAL device with group commit.
+// Simulated WAL device, grouping commits by storage/group_commit.h.
 //
 // A storage node has one WAL device; its fsyncs are inherently serial.
-// Before this existed, every commit slept `wal_sync_latency`
+// Before this existed, every commit slept the sync latency
 // independently — unlimited overlapping fsyncs, which both overstates
 // device parallelism and understates what grouping buys. This models the
 // device honestly: one sync in flight per shard at a time, and every
-// commit that arrives while a sync is in flight (or within an explicit
-// `max_batch_delay` window) joins the next group. A group is appended as
-// one combined WriteBatch — a single WAL record, one fsync charge — and
-// then handed to the node's sync sink (replicate + apply) once, so the
-// fsync and the replication round are both amortized over the group.
-// Every member receives the group's status: a failed sync surfaces to
-// exactly the commits whose bytes were in that group.
+// commit that arrives while a sync is in flight joins the next group. A
+// group is appended as one combined WriteBatch — a single WAL record, one
+// fsync charge — and then handed to the node's sync sink (replicate +
+// apply) once, so the fsync and the replication round are both amortized
+// over the group.
 //
 // Groups never span shards: replication is per shard, and the combined
 // batch must replicate as one unit.
@@ -22,63 +20,46 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/status.h"
 #include "coord/coordinator.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "storage/group_commit.h"
 #include "storage/write_batch.h"
 
 namespace lo::cluster {
 
-struct WalGroupCommitterOptions {
-  /// Device time per fsync (NVMe flush).
-  sim::Duration wal_sync_latency = sim::Micros(80);
-  /// A group is sealed once its combined payload reaches this size.
-  size_t max_batch_bytes = 1 << 20;
-  /// Extra wait before syncing an open group so closely-spaced commits
-  /// can join. 0 = sync immediately when the device frees up (grouping
-  /// then comes purely from device backpressure).
-  sim::Duration max_batch_delay = sim::Duration(0);
-  /// Span recording for sampled commits (nullptr = off).
-  obs::Tracer* tracer = nullptr;
-  uint32_t node_label = 0;
-};
-
 class WalGroupCommitter {
  public:
+  /// Device time per fsync (NVMe flush).
+  static constexpr sim::Duration kSyncLatency = sim::Micros(80);
+
   /// Called once per group after the modeled sync delay: durably apply
   /// (and replicate) the combined batch. The trace is the first group
   /// member's.
   using SyncSink = std::function<sim::Task<Status>(
       coord::ShardId shard, storage::WriteBatch batch, obs::TraceContext trace)>;
 
-  WalGroupCommitter(sim::Simulator* sim, SyncSink sink,
-                    WalGroupCommitterOptions options = {});
+  /// Groups hold at most `max_batch_bytes` (and at least one batch). A
+  /// non-null `tracer` records each sampled member's "wal_sync" span.
+  WalGroupCommitter(sim::Simulator* sim, SyncSink sink, size_t max_batch_bytes,
+                    obs::Tracer* tracer = nullptr, uint32_t node_label = 0);
 
   /// Queues the batch on the shard's WAL device and completes when its
   /// group's sync (+ replication) resolves, with the group's status.
   sim::Task<Status> Commit(coord::ShardId shard, storage::WriteBatch batch,
                            obs::TraceContext trace);
 
-  struct Stats {
-    uint64_t commits = 0;        // batches submitted
-    uint64_t groups = 0;         // fsyncs issued (one per group)
-    uint64_t synced_bytes = 0;   // payload bytes across all groups
-    uint64_t max_group_commits = 0;
-    uint64_t sync_failures = 0;  // groups whose sink reported failure
-  };
-  const Stats& stats() const { return stats_; }
+  const storage::GroupCommitStats& stats() const { return stats_; }
 
  private:
   struct Pending {
     storage::WriteBatch batch;
     obs::TraceContext trace;
     std::shared_ptr<sim::OneShot<Status>> slot;
-  };
-  struct ShardState {
-    std::deque<Pending> queue;
-    bool flusher_active = false;
+    void Resolve(const Status& status) { slot->Fulfill(status); }
   };
 
   /// Detached per-shard device loop; exits when the queue drains (so the
@@ -87,9 +68,12 @@ class WalGroupCommitter {
 
   sim::Simulator* sim_;
   SyncSink sink_;
-  WalGroupCommitterOptions options_;
-  std::unordered_map<coord::ShardId, ShardState> shards_;
-  Stats stats_;
+  size_t max_batch_bytes_;
+  obs::Tracer* tracer_;
+  uint32_t node_label_;
+  std::unordered_map<coord::ShardId, std::deque<Pending>> queues_;
+  std::unordered_set<coord::ShardId> flushing_;  // shards with a FlushLoop
+  storage::GroupCommitStats stats_;
 };
 
 }  // namespace lo::cluster

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "net/event_loop.h"
+#include "replication/replicator.h"
 
 namespace lo::clusterd {
 
@@ -130,12 +131,14 @@ Result<std::string> Client::Create(const std::string& oid,
 Result<std::string> Client::InvokeRead(const std::string& oid,
                                        const std::string& method,
                                        const std::string& argument) {
-  auto wrapped = Call(oid, "lambda.read",
-                      replication::EncodeReadRequest(
-                          {oid, method, argument, options_.read_mode,
-                           read_token_, options_.staleness_epochs}));
+  replication::ReadRequest read;
+  read.oid = oid;
+  read.method = method;
+  read.argument = argument;
+  auto wrapped = Call(oid, "lambda.read", replication::EncodeReadRequest(read));
   if (!wrapped.ok()) return wrapped;
-  return replication::UnwrapToken(*wrapped, &read_token_);
+  replication::EpochToken token;
+  return replication::UnwrapToken(*wrapped, &token);
 }
 
 }  // namespace lo::clusterd

@@ -12,9 +12,9 @@
 // server and surfaces kWrongShard to the caller. Faults (timeouts,
 // connection loss) back off and re-send with the same token.
 //
-// One Client per thread (it owns a jitter RNG, a token counter and the
-// read token); many share one RpcClient, whose loop thread multiplexes
-// their calls over pooled connections.
+// One Client per thread (it owns a jitter RNG and a token counter); many
+// share one RpcClient, whose loop thread multiplexes their calls over
+// pooled connections.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 #include "net/rpc_client.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "replication/replicator.h"
 
 namespace lo::clusterd {
 
@@ -38,11 +37,6 @@ struct ClientOptions {
   int64_t retry_budget_us = 2'000'000;
   /// Seeds the backoff jitter.
   uint64_t seed = 7;
-  /// Staleness contract of InvokeRead (LO_FOLLOWER_READS). Every real
-  /// read lands at the shard's owner; the token enforces monotonic reads.
-  replication::ReadMode read_mode = replication::ReadMode::kPrimaryOnly;
-  /// Apply-epoch slack a kBounded read tolerates (LO_STALENESS_EPOCHS).
-  uint64_t staleness_epochs = 0;
   /// Tenant id stamped on every request (0 = untenanted legacy traffic).
   /// Servers running with --tenants gate admission and fuel on it
   /// (docs/tenancy.md). bench/harness reads LO_TENANT_ID into it.
@@ -75,17 +69,11 @@ class Client {
   Result<std::string> Create(const std::string& oid,
                              const std::string& type_name);
 
-  /// Epoch-gated read ("lambda.read"): carries the last apply-epoch token
-  /// this client observed, so the server bounces (kEpochBehind) rather
-  /// than serve state older than one it already saw — monotonic reads
-  /// under options.read_mode, across retries and re-routes.
+  /// Read-only invocation ("lambda.read"), served by the object's owner,
+  /// which committed every acknowledged write before acking it.
   Result<std::string> InvokeRead(const std::string& oid,
                                  const std::string& method,
                                  const std::string& argument);
-
-  /// Last apply-epoch token observed from read replies — the floor the
-  /// next strict/bounded InvokeRead is gated on.
-  replication::EpochToken read_token() const { return read_token_; }
 
   struct Metrics : cluster::RetryPolicy::Counters {
     uint64_t requests = 0;
@@ -113,7 +101,6 @@ class Client {
   Metrics metrics_;
   uint64_t client_id_ = 0;  // process-unique, for token minting
   uint64_t next_token_ = 1;
-  replication::EpochToken read_token_;
   Histogram* invoke_latency_us_ = nullptr;  // owned by the registry
 };
 

@@ -7,6 +7,13 @@
 #include "common/log.h"
 
 namespace lo::clusterd {
+namespace {
+
+/// Reports older than this are treated as zero load.
+constexpr int64_t kReportStalenessMs = 2'000;
+constexpr int64_t kRpcTimeoutUs = 5'000'000;
+
+}  // namespace
 
 CoordinatorServer::CoordinatorServer(CoordinatorServerOptions options)
     : options_(options),
@@ -150,7 +157,7 @@ void CoordinatorServer::InstallHandlers() {
     }
     rpc_.Call(source_address, kSvcShardMigrate,
               EncodeMigrate(oid, target_shard, target_address),
-              options_.rpc_timeout_us,
+              kRpcTimeoutUs,
               [this, respond](Result<std::string> result) {
                 {
                   std::lock_guard<std::mutex> lock(mu_);
@@ -193,7 +200,7 @@ int CoordinatorServer::RebalanceRound() {
     std::lock_guard<std::mutex> lock(mu_);
     if (view_.addresses.size() < 2) return 0;
     const int64_t now_us = net::EventLoop::NowUs();
-    const int64_t stale_us = options_.report_staleness_ms * 1000;
+    const int64_t stale_us = kReportStalenessMs * 1000;
     // Every registered node participates; nodes without a fresh report
     // count as idle — that is exactly what makes a just-added node the
     // rebalance target.
@@ -251,7 +258,7 @@ int CoordinatorServer::RebalanceRound() {
     auto result = rpc_.CallSync(
         source_address, kSvcShardMigrate,
         EncodeMigrate(candidate.oid, target_shard, target_address),
-        options_.rpc_timeout_us);
+        kRpcTimeoutUs);
     std::lock_guard<std::mutex> lock(mu_);
     if (result.ok()) {
       metrics_.migrations_done++;

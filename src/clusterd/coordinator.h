@@ -51,9 +51,6 @@ struct CoordinatorServerOptions {
   /// have meaningless skew).
   uint64_t rebalance_min_requests = 50;
   int migrations_per_round = 4;
-  /// Reports older than this are treated as zero load.
-  int64_t report_staleness_ms = 2'000;
-  int64_t rpc_timeout_us = 5'000'000;
   obs::MetricsRegistry* metrics_registry = nullptr;
 };
 

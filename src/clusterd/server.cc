@@ -13,6 +13,21 @@
 #include "runtime/object.h"
 
 namespace lo::clusterd {
+namespace {
+
+/// Hottest objects named per load report.
+constexpr size_t kReportTopK = 16;
+/// Cap on distinct oids tracked per report window; hot objects enter the
+/// map early, so overflow only drops cold tails.
+constexpr size_t kHotTrackingMax = 4096;
+constexpr int64_t kPeerTimeoutUs = 2'000'000;
+constexpr int64_t kCoordTimeoutUs = 2'000'000;
+/// Directory re-resolutions per forwarded nested invocation.
+constexpr int kForwardRedirects = 2;
+/// coord.place attempts before a migration rolls back.
+constexpr int kPlaceAttempts = 3;
+
+}  // namespace
 
 ServerNode::ServerNode(storage::DB* db, const runtime::TypeRegistry* types,
                        ServerNodeOptions options)
@@ -36,7 +51,6 @@ ServerNode::ServerNode(storage::DB* db, const runtime::TypeRegistry* types,
       }()) {
   runtime::ParallelNodeOptions node_options;
   node_options.lanes = options_.lanes;
-  node_options.runtime = options_.runtime;
   node_options.group_commit = options_.group_commit;
   node_options.tenants = options_.tenants;
   node_ = std::make_unique<runtime::ParallelNode>(db_, types, node_options);
@@ -52,7 +66,7 @@ ServerNode::ServerNode(storage::DB* db, const runtime::TypeRegistry* types,
         [this](runtime::ObjectId oid, std::string method, std::string argument,
                runtime::ParallelNode::Callback done) {
           ForwardInvoke(std::move(oid), std::move(method), std::move(argument),
-                        options_.forward_redirects, std::move(done));
+                        kForwardRedirects, std::move(done));
         });
   }
   InstallHandlers();
@@ -91,7 +105,7 @@ void ServerNode::CountRequest(const std::string& oid) {
   auto it = window_object_requests_.find(oid);
   if (it != window_object_requests_.end()) {
     it->second++;
-  } else if (window_object_requests_.size() < options_.hot_tracking_max) {
+  } else if (window_object_requests_.size() < kHotTrackingMax) {
     window_object_requests_[oid] = 1;
   }
 }
@@ -197,11 +211,11 @@ void ServerNode::InstallHandlers() {
         tenant);
   });
 
-  // Epoch-gated read path, wire-compatible with the sim's "lambda.read".
-  // Every read lands at the shard's owner (the real path replicates by
-  // migration, not by replica sets), so the epoch token buys monotonic
-  // reads: a client that saw apply-epoch E never observes pre-E state
-  // again, across retries and reconnects.
+  // Read path, wire-compatible with the sim's "lambda.read". Every read
+  // runs at the object's only copy (the real path replicates by
+  // migration, not by replica sets), and that copy committed every
+  // acknowledged write before acking it, so the request's read mode and
+  // token need no gate here. The reply still carries the apply-epoch.
   server_.Handle("lambda.read", [this](net::RpcServer::Request request,
                                        net::RpcServer::Responder respond) {
     replication::ReadRequest read;
@@ -217,23 +231,14 @@ void ServerNode::InstallHandlers() {
       respond(Status::WrongShard("object not served here"));
       return;
     }
-    // strict: the owner must have applied at least the client's seq;
-    // bounded: may trail by `staleness`; eventual/off/tail: no gate.
-    const uint64_t seq = read.token.seq;
-    uint64_t min_epoch = 0;
-    if (read.mode == replication::ReadMode::kStrict) {
-      min_epoch = seq;
-    } else if (read.mode == replication::ReadMode::kBounded) {
-      min_epoch = seq > read.staleness_epochs ? seq - read.staleness_epochs : 0;
-    }
     uint32_t tenant = request.tenant;
     if (!AdmitTenant(tenant, &respond)) return;
     int64_t deadline_us = request.deadline_us;
     node_->RunOnLane(
         oid_str, [this, oid = std::move(oid_str),
                   method = std::string(read.method),
-                  argument = std::string(read.argument), min_epoch, deadline_us,
-                  tenant, respond](runtime::Runtime& rt) mutable {
+                  argument = std::string(read.argument), deadline_us, tenant,
+                  respond](runtime::Runtime& rt) mutable {
           if (deadline_us != 0 && net::EventLoop::NowUs() > deadline_us) {
             server_.RecordShed();
             respond(Status::Timeout("deadline expired before execution"));
@@ -247,14 +252,7 @@ void ServerNode::InstallHandlers() {
             respond(Status::WrongShard("object migrated while queued"));
             return;
           }
-          uint64_t applied = node_->apply_epoch();
-          if (applied < min_epoch) {
-            respond(Status::EpochBehind("applied " + std::to_string(applied) +
-                                        " < required " +
-                                        std::to_string(min_epoch)));
-            return;
-          }
-          // Only registered read-only methods run through the gated path.
+          // Only registered read-only methods run through the read path.
           auto type_name = db_->Get({}, runtime::ObjectExistsKey(oid));
           if (!type_name.ok()) {
             respond(type_name.status());
@@ -320,7 +318,7 @@ void ServerNode::InstallHandlers() {
           }
           rpc_.Call(
               target_address, kSvcShardInstall,
-              EncodeInstall(target_shard, oid, *rep), options_.peer_timeout_us,
+              EncodeInstall(target_shard, oid, *rep), kPeerTimeoutUs,
               [this, oid, target_shard, respond](Result<std::string> installed) mutable {
                 if (!installed.ok()) {
                   // Target unreachable or refused: roll back and keep
@@ -334,7 +332,7 @@ void ServerNode::InstallHandlers() {
                   respond(installed.status());
                   return;
                 }
-                PlaceAsync(oid, target_shard, options_.place_attempts, respond);
+                PlaceAsync(oid, target_shard, kPlaceAttempts, respond);
               });
         });
   });
@@ -421,7 +419,7 @@ void ServerNode::ForwardInvoke(runtime::ObjectId oid, std::string method,
   // Forwards carry no idempotency token, matching the sim's node-to-node
   // EncodeInvoke: retries of the *root* invocation are what dedupes.
   rpc_.Call(address, "lambda.invoke", EncodeInvoke(oid, method, argument, {}),
-            options_.peer_timeout_us,
+            kPeerTimeoutUs,
             [this, oid, method, argument, redirects_left,
              done = std::move(done)](Result<std::string> result) mutable {
               if (!result.ok() &&
@@ -443,7 +441,7 @@ void ServerNode::ForwardInvoke(runtime::ObjectId oid, std::string method,
 }
 
 void ServerNode::RefreshViewAsync(std::function<void()> done) {
-  rpc_.Call(coordinator_, kSvcGetConfig, "", options_.coord_timeout_us,
+  rpc_.Call(coordinator_, kSvcGetConfig, "", kCoordTimeoutUs,
             [this, done = std::move(done)](Result<std::string> result) {
               if (result.ok()) {
                 auto fresh = ClusterView::Decode(*result);
@@ -465,7 +463,7 @@ void ServerNode::PlaceAsync(std::string oid, coord::ShardId shard,
   // cannot hollow out the payload.
   std::string payload = EncodePlace(oid, shard);
   rpc_.Call(coordinator_, kSvcPlace, std::move(payload),
-            options_.coord_timeout_us,
+            kCoordTimeoutUs,
             [this, oid = std::move(oid), shard, attempts_left,
              respond = std::move(respond)](Result<std::string> placed) mutable {
               if (placed.ok()) {
@@ -503,7 +501,7 @@ Status ServerNode::RegisterWithCoordinator() {
       options_.advertise_host + ":" + std::to_string(server_.port());
   auto reply =
       rpc_.CallSync(coordinator_, kSvcRegister, EncodeRegisterRequest(advertise),
-                    options_.coord_timeout_us);
+                    kCoordTimeoutUs);
   if (!reply.ok()) return reply.status();
   ClusterView fresh;
   LO_RETURN_IF_ERROR(
@@ -540,12 +538,12 @@ void ServerNode::ReportLoop() {
     std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
       return a.second > b.second;
     });
-    if (hot.size() > options_.report_top_k) hot.resize(options_.report_top_k);
+    if (hot.size() > kReportTopK) hot.resize(kReportTopK);
     report.hot_objects = std::move(hot);
 
     auto reply = rpc_.CallSync(coordinator_, kSvcReport,
                                EncodeLoadReport(report),
-                               options_.coord_timeout_us);
+                               kCoordTimeoutUs);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       metrics_.reports_sent++;
@@ -558,7 +556,7 @@ void ServerNode::ReportLoop() {
     if (auto current = view(); current != nullptr) our_version = current->version;
     if (coordinator_version > our_version) {
       auto config = rpc_.CallSync(coordinator_, kSvcGetConfig, "",
-                                  options_.coord_timeout_us);
+                                  kCoordTimeoutUs);
       if (config.ok()) {
         auto fresh = ClusterView::Decode(*config);
         if (fresh.ok()) {

@@ -60,20 +60,9 @@ struct ServerNodeOptions {
   /// registration, no directory, every object is local.
   std::string coordinator;
   size_t lanes = 8;
-  runtime::RuntimeOptions runtime;
   storage::GroupCommitterOptions group_commit;
-  /// Load-report (= heartbeat) cadence and shape.
+  /// Load-report (= heartbeat) cadence.
   int64_t report_interval_ms = 200;
-  size_t report_top_k = 16;
-  /// Cap on distinct oids tracked per report window; hot objects enter
-  /// the map early, so overflow only drops cold tails.
-  size_t hot_tracking_max = 4096;
-  int64_t peer_timeout_us = 2'000'000;
-  int64_t coord_timeout_us = 2'000'000;
-  /// Directory re-resolutions per forwarded nested invocation.
-  int forward_redirects = 2;
-  /// coord.place attempts before a migration rolls back.
-  int place_attempts = 3;
   obs::MetricsRegistry* metrics_registry = nullptr;
   obs::Tracer* tracer = nullptr;
   /// Optional multi-tenant QoS (not owned; must outlive the node).

@@ -1,6 +1,7 @@
-// SHA-256. The consistent result cache (paper §4.2.2) records a function's
-// read set as keys plus *value hashes*; a collision there would serve a
-// stale cached result, so a cryptographic hash is the right tool.
+// SHA-256. The consistent result cache (paper §4.2.2) keys each entry by
+// a hash of the function's argument; a collision there would serve
+// another argument's cached result, so a cryptographic hash is the right
+// tool.
 #pragma once
 
 #include <array>

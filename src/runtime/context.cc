@@ -1,21 +1,10 @@
 #include "runtime/context.h"
 
 #include "common/coding.h"
-#include "common/hash.h"
 #include "common/log.h"
 #include "runtime/runtime.h"
 
 namespace lo::runtime {
-namespace {
-
-// Hash recorded in the read set; absence hashes differently from every
-// present value.
-uint64_t ValueHash(const Result<std::string>& value) {
-  if (!value.ok()) return 0x9e3779b97f4a7c15ull;  // "absent"
-  return Fnv1a64(*value) ^ 1;
-}
-
-}  // namespace
 
 InvocationContext::InvocationContext(Runtime* runtime, ObjectId oid,
                                      MethodKind kind,
@@ -38,7 +27,7 @@ sim::Task<Result<std::string>> InvocationContext::ReadKey(std::string key) {
   }
   Result<std::string> value = runtime_->StorageRead(key, snapshot_);
   if (!value.ok() && !value.status().IsNotFound()) co_return value.status();
-  read_set_.push_back(ReadSetEntry{std::move(key), ValueHash(value)});
+  read_set_.push_back(std::move(key));
   co_return value;
 }
 

@@ -25,13 +25,6 @@ namespace lo::runtime {
 
 class Runtime;
 
-/// One entry of the recorded read set: key plus a short hash of the
-/// observed value ("absent" hashes distinctly), used by the result cache.
-struct ReadSetEntry {
-  std::string key;
-  uint64_t value_hash;
-};
-
 class InvocationContext : public vm::HostApi {
  public:
   /// `snapshot` may be null (read latest). Runtime retains ownership of
@@ -76,7 +69,9 @@ class InvocationContext : public vm::HostApi {
   /// Drains buffered writes into a WriteBatch (empty batch if clean).
   storage::WriteBatch TakeWriteBatch();
   bool has_writes() const { return !writes_.empty(); }
-  const std::vector<ReadSetEntry>& read_set() const { return read_set_; }
+  /// Storage keys this invocation read (present or absent), for the
+  /// result cache's invalidation index.
+  const std::vector<std::string>& read_set() const { return read_set_; }
   /// Keys written so far (cache invalidation).
   std::vector<std::string> written_keys() const;
   void set_snapshot(const storage::Snapshot* snapshot) { snapshot_ = snapshot; }
@@ -112,7 +107,7 @@ class InvocationContext : public vm::HostApi {
   obs::TraceContext trace_;
   // nullopt value = pending delete.
   std::map<std::string, std::optional<std::string>> writes_;
-  std::vector<ReadSetEntry> read_set_;
+  std::vector<std::string> read_set_;
   std::string idempotency_token_;
   uint64_t commit_index_ = 0;
 };

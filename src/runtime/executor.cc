@@ -42,8 +42,10 @@ ParallelNode::ParallelNode(storage::DB* db, const TypeRegistry* types,
   lanes_.reserve(lane_count);
   for (size_t i = 0; i < lane_count; ++i) {
     auto lane = std::make_unique<Lane>();
-    RuntimeOptions rt_options = options_.runtime;
-    rt_options.lanes = 1;  // one worker thread == one internal lane
+    // Default runtime options, except that threading is this executor's
+    // job: one worker thread == one internal lane.
+    RuntimeOptions rt_options;
+    rt_options.lanes = 1;
     rt_options.tenants = options_.tenants;  // per-tenant VM fuel accounting
     lane->runtime = std::make_unique<Runtime>(SteadyNowNs, db_, types, rt_options);
     // All lanes commit through the shared group committer: the worker
@@ -187,6 +189,9 @@ void ParallelNode::RunOnLane(const ObjectId& oid,
 void ParallelNode::Enqueue(size_t lane_index, std::function<void()> job,
                            tenant::TenantId tenant) {
   Lane& lane = *lanes_[lane_index];
+  // Without a registry the lane is plain FIFO: every job joins tenant 0's
+  // sub-queue, whatever tenant it is attributed to.
+  if (options_.tenants == nullptr) tenant = 0;
   uint32_t weight =
       options_.tenants != nullptr ? options_.tenants->WeightFor(tenant) : 1;
   int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(

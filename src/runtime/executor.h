@@ -75,15 +75,13 @@ T RunSync(sim::Task<T> task) {
 struct ParallelNodeOptions {
   /// Worker threads; objects are pinned by hash(object_id) % lanes.
   size_t lanes = 8;
-  /// Per-lane runtime configuration (its `lanes` field is overridden
-  /// to 1 — threading is this executor's job, not the lane runtime's).
-  RuntimeOptions runtime;
   storage::GroupCommitterOptions group_commit;
   /// Optional multi-tenant QoS (not owned; must outlive the node). When
   /// set, each lane's queue becomes a deficit-round-robin FairQueue over
   /// the tenant ids submitted with each job, queue waits are recorded
-  /// per tenant, and the per-lane runtimes charge VM fuel to it. With
-  /// only tenant 0 traffic the lanes behave exactly like the old FIFO.
+  /// per tenant, and the per-lane runtimes charge VM fuel to it. Unset,
+  /// or with only tenant 0 traffic, the lanes behave exactly like the
+  /// old FIFO, whatever tenant ids the jobs carry.
   tenant::TenantRegistry* tenants = nullptr;
 };
 

@@ -33,15 +33,14 @@ std::optional<std::string> ResultCache::Lookup(const std::string& cache_key) {
 }
 
 void ResultCache::Insert(const std::string& cache_key, std::string output,
-                         std::vector<ReadSetEntry> reads) {
+                         std::vector<std::string> read_keys) {
   Erase(cache_key);  // replace any stale entry
   Entry entry;
   entry.output = std::move(output);
-  entry.read_keys.reserve(reads.size());
-  for (auto& read : reads) {
-    by_read_key_.emplace(read.key, cache_key);
-    entry.read_keys.push_back(std::move(read.key));
+  for (const auto& read_key : read_keys) {
+    by_read_key_.emplace(read_key, cache_key);
   }
+  entry.read_keys = std::move(read_keys);
   lru_.push_back(cache_key);
   entry.lru_pos = std::prev(lru_.end());
   entries_.emplace(cache_key, std::move(entry));

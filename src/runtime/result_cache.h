@@ -2,9 +2,10 @@
 //
 // Because storage and execution are co-located, the storage node sees
 // every committed write, so it can invalidate cached function results
-// precisely: each entry records the invocation's read set (keys + value
-// hashes); committing a batch drops every entry whose read set overlaps
-// the batch's write keys. Entries therefore never serve stale data.
+// precisely: each entry records the invocation's read set (the storage
+// keys it read); committing a batch drops every entry whose read set
+// overlaps the batch's write keys. Entries therefore never serve stale
+// data.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@ class ResultCache {
   std::optional<std::string> Lookup(const std::string& cache_key);
 
   void Insert(const std::string& cache_key, std::string output,
-              std::vector<ReadSetEntry> reads);
+              std::vector<std::string> read_keys);
 
   /// Drops every entry that read one of these storage keys. `remote`
   /// marks the write as having arrived via replication rather than a

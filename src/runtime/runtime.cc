@@ -153,9 +153,7 @@ sim::Task<Result<std::string>> Runtime::Invoke(ObjectId oid, std::string method,
       }
     }
     if (result.ok() && !cache_key.empty()) {
-      cache_.Insert(cache_key, *result,
-                    std::vector<ReadSetEntry>(ctx.read_set().begin(),
-                                              ctx.read_set().end()));
+      cache_.Insert(cache_key, *result, ctx.read_set());
     }
     co_return result;
   }

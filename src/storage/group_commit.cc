@@ -1,9 +1,5 @@
 #include "storage/group_commit.h"
 
-#include <chrono>
-#include <utility>
-#include <vector>
-
 namespace lo::storage {
 
 GroupCommitter::GroupCommitter(DB* db, GroupCommitterOptions options)
@@ -22,16 +18,13 @@ GroupCommitter::~GroupCommitter() {
 
 Status GroupCommitter::Commit(WriteBatch batch) {
   if (batch.Count() == 0) return Status();
-  Waiter waiter;
-  waiter.batch = std::move(batch);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stop_) return Status::Unavailable("group committer shut down");
-    queue_.push_back(&waiter);
-    work_cv_.notify_one();
-    done_cv_.wait(lock, [&] { return waiter.done; });
-  }
-  return waiter.status;
+  std::optional<Status> result;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stop_) return Status::Unavailable("group committer shut down");
+  queue_.push_back(Pending{std::move(batch), &result});
+  work_cv_.notify_one();
+  done_cv_.wait(lock, [&] { return result.has_value(); });
+  return *result;
 }
 
 void GroupCommitter::Drain() {
@@ -48,72 +41,26 @@ void GroupCommitter::CommitterLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    if (options_.max_batch_delay_us > 0) {
-      // Hold the window open so commits arriving just behind us ride the
-      // same fsync. Sealed early once the group would overflow.
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(options_.max_batch_delay_us);
-      size_t queued = 0;
-      work_cv_.wait_until(lock, deadline, [&] {
-        queued = 0;
-        for (const Waiter* w : queue_) queued += w->batch.ByteSize();
-        return stop_ || queued >= options_.max_batch_bytes;
-      });
-    }
-
-    // Seal the group: everything queued, up to max_batch_bytes (always at
-    // least one member so an oversized single batch still commits).
-    std::vector<Waiter*> group;
-    size_t group_bytes = 0;
-    while (!queue_.empty()) {
-      Waiter* w = queue_.front();
-      if (!group.empty() && group_bytes + w->batch.ByteSize() > options_.max_batch_bytes) {
-        break;
-      }
-      group_bytes += w->batch.ByteSize();
-      group.push_back(w);
-      queue_.pop_front();
-    }
-    in_flight_ += group.size();
-
-    WriteBatch combined = std::move(group.front()->batch);
-    for (size_t i = 1; i < group.size(); ++i) combined.Append(group[i]->batch);
+    // Empty here means stop_: everything submitted before shutdown has
+    // drained, and Commit() rejects new arrivals.
+    if (queue_.empty()) return;
+    auto group = CommitGroup<Pending>::Seal(&queue_, options_.max_batch_bytes);
+    in_flight_ += group.members.size();
 
     lock.unlock();
-    WriteOptions write_opts;
-    write_opts.sync = true;
-    Status status = db_->Write(write_opts, &combined);
+    Status status = db_->Write(WriteOptions(), &group.combined);  // syncs the WAL
     // Listener-before-ack: a successful group is handed to on_commit
     // before any of its waiters unblock, so an acked write has already
     // been seen by the shipping hook. commit_seq_ is committer-thread
     // private and needs no lock.
     if (status.ok() && options_.on_commit) {
-      options_.on_commit(++commit_seq_, combined);
+      options_.on_commit(++commit_seq_, group.combined);
     }
     lock.lock();
 
-    stats_.commits += group.size();
-    stats_.groups += 1;
-    stats_.coalesced_bytes += group_bytes;
-    if (group.size() > stats_.max_group_commits) {
-      stats_.max_group_commits = group.size();
-    }
-    if (!status.ok()) stats_.sync_failures += 1;
-    for (Waiter* w : group) {
-      w->status = status;
-      w->done = true;
-    }
-    in_flight_ -= group.size();
+    group.Resolve(status, &stats_);
+    in_flight_ -= group.members.size();
     done_cv_.notify_all();
-
-    if (stop_ && queue_.empty()) {
-      return;  // drained everything submitted before shutdown
-    }
-    if (stop_) continue;  // keep draining; Commit() rejects new arrivals
   }
 }
 

@@ -13,6 +13,7 @@
 #include "baseline/deployment.h"
 #include "cluster/deployment.h"
 #include "cluster/retry.h"
+#include "cluster/wal_group_commit.h"
 #include "common/coding.h"
 #include "common/rng.h"
 #include "retwis/driver.h"
@@ -779,6 +780,59 @@ TEST_F(RetryPolicyTest, PausesFollowJitteredDoublingScheduleCapped) {
   }
   EXPECT_EQ(counters_.retries, 20u * 7u);
   EXPECT_EQ(counters_.budget_exhausted, 0u);
+}
+
+// --- WalGroupCommitter ---------------------------------------------------
+
+// The sim's modeled WAL device over a stub sink: one sync in flight per
+// shard, so commits submitted while it syncs form the next group.
+TEST(WalGroupCommitterTest, BusyDeviceGroupsCommitsAndFailsOnlyTheFailedGroup) {
+  sim::Simulator sim;
+  std::vector<uint32_t> group_records;  // per sink call, in order
+  WalGroupCommitter committer(
+      &sim,
+      [&group_records](coord::ShardId, storage::WriteBatch batch,
+                       obs::TraceContext) -> Task<Status> {
+        group_records.push_back(batch.Count());
+        // The second group's sync fails.
+        co_return group_records.size() == 2 ? Status::IOError("sync failed")
+                                            : Status::OK();
+      },
+      /*max_batch_bytes=*/1 << 20);
+
+  std::map<std::string, Status> results;
+  auto submit = [&](std::string key, sim::Duration at) {
+    Detach([](sim::Simulator* sim, WalGroupCommitter* committer,
+              std::string key, sim::Duration at,
+              std::map<std::string, Status>* results) -> Task<void> {
+      co_await sim->Sleep(at);
+      storage::WriteBatch batch;
+      batch.Put(key, "v");
+      (*results)[key] = co_await committer->Commit(0, std::move(batch), {});
+    }(&sim, &committer, std::move(key), at, &results));
+  };
+  const sim::Duration sync = WalGroupCommitter::kSyncLatency;
+  submit("a", 0);              // group 1: the device is idle
+  submit("b", sync / 4);       // b, c, d arrive during group 1's sync
+  submit("c", sync / 2);
+  submit("d", sync * 3 / 4);
+  submit("e", sync + sync / 2);  // arrives during group 2's sync
+  sim.Run();
+
+  EXPECT_EQ(group_records, (std::vector<uint32_t>{1, 3, 1}));
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_TRUE(results["a"].ok());
+  for (const char* key : {"b", "c", "d"}) {
+    EXPECT_EQ(results[key].code(), StatusCode::kIOError) << key;
+  }
+  EXPECT_TRUE(results["e"].ok());
+
+  const storage::GroupCommitStats& stats = committer.stats();
+  EXPECT_EQ(stats.commits, 5u);
+  EXPECT_EQ(stats.groups, 3u);
+  EXPECT_LT(stats.groups, stats.commits);
+  EXPECT_EQ(stats.max_group_commits, 3u);
+  EXPECT_EQ(stats.sync_failures, 1u);
 }
 
 }  // namespace

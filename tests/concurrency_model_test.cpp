@@ -156,7 +156,6 @@ TEST(ConcurrencyModel, RandomOpsMatchSequentialModel) {
 
     ParallelNodeOptions node_options;
     node_options.lanes = kThreads;
-    node_options.group_commit.max_batch_delay_us = 100;
     ParallelNode node(db.get(), &types, node_options);
     for (size_t i = 0; i < kObjects; i++) {
       ASSERT_TRUE(node.CreateObject(Oid(i), "mixed").get().ok());
@@ -293,7 +292,6 @@ TEST(ConcurrencyModel, GroupCommitNeverAcksALostWrite) {
       {
         ParallelNodeOptions node_options;
         node_options.lanes = kThreads;
-        node_options.group_commit.max_batch_delay_us = 50;
         ParallelNode node(db.get(), &types, node_options);
         for (size_t i = 0; i < kCrashObjects; i++) {
           ASSERT_TRUE(node.CreateObject(Oid(i), "mixed").get().ok());
@@ -389,7 +387,6 @@ TEST(ConcurrencyModel, CrossLaneNestedFanoutLosesNothing) {
 
   ParallelNodeOptions node_options;
   node_options.lanes = 4;
-  node_options.group_commit.max_batch_delay_us = 100;
   ParallelNode node(db.get(), &types, node_options);
 
   constexpr size_t kTargets = 12;

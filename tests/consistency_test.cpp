@@ -191,7 +191,6 @@ TEST(LaneAffinity, SameObjectCrossThreadSubmissionsExecuteInOrder) {
 
   runtime::ParallelNodeOptions node_options;
   node_options.lanes = 8;
-  node_options.group_commit.max_batch_delay_us = 50;
   runtime::ParallelNode node(db.get(), &types, node_options);
   ASSERT_TRUE(node.CreateObject("shared", "counter").get().ok());
   for (int i = 0; i < 4; i++) {
@@ -270,7 +269,6 @@ TEST(ShardedStorage, ReadYourWritesAcrossShardsUnderParallelNode) {
 
   runtime::ParallelNodeOptions node_options;
   node_options.lanes = 8;
-  node_options.group_commit.max_batch_delay_us = 50;
   runtime::ParallelNode node(db.get(), &types, node_options);
 
   constexpr int kThreads = 4;

@@ -35,7 +35,7 @@
 
 #include "common/rng.h"
 #include "runtime/executor.h"
-#include "storage/env.h"
+#include "slow_wal_sync_env.h"
 
 namespace lo::runtime {
 namespace {
@@ -75,15 +75,19 @@ void RegisterCounterType(TypeRegistry* types) {
 }
 
 // One replica: its own MemEnv-backed DB plus a ParallelNode over it.
+// `wal_sync_us` > 0 makes every WAL sync take that long, as a device's
+// would.
 struct Replica {
-  explicit Replica(const TypeRegistry* types, ParallelNodeOptions options = {}) {
+  explicit Replica(const TypeRegistry* types, ParallelNodeOptions options = {},
+                   int64_t wal_sync_us = 0)
+      : env(wal_sync_us) {
     storage::Options db_options;
     db_options.env = &env;
     db_options.serialize_access = true;
     db = std::move(*storage::DB::Open(db_options, "/db"));
     node = std::make_unique<ParallelNode>(db.get(), types, options);
   }
-  storage::MemEnv env;
+  storage::SlowWalSyncEnv env;
   std::unique_ptr<storage::DB> db;
   std::unique_ptr<ParallelNode> node;
 };
@@ -172,13 +176,15 @@ struct ReplicaSet {
         seed * 31, ship_delay_us);
     ParallelNodeOptions options;
     options.lanes = 4;
-    options.group_commit.max_batch_delay_us = 100;
     options.group_commit.on_commit = [s = shipper.get()](
                                          uint64_t seq,
                                          const storage::WriteBatch& batch) {
       s->Push(seq, batch);
     };
-    primary = std::make_unique<Replica>(&types, options);
+    // The primary's WAL sync takes longer than the shipper's mean lag, as
+    // a device's would, so the backups trail it by a few commit groups
+    // rather than falling ever further behind.
+    primary = std::make_unique<Replica>(&types, options, /*wal_sync_us=*/500);
     for (size_t i = 0; i < kWriters; i++) {
       LO_CHECK(primary->node->CreateObject(Oid(i), "counter").get().ok());
     }

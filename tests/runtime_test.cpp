@@ -521,9 +521,9 @@ TEST_F(RuntimeTest, CacheIsolatedPerObjectAndArgument) {
 
 TEST(ResultCacheUnit, CapacityEviction) {
   ResultCache cache(2);
-  cache.Insert("k1", "v1", {{"r1", 1}});
-  cache.Insert("k2", "v2", {{"r2", 1}});
-  cache.Insert("k3", "v3", {{"r3", 1}});
+  cache.Insert("k1", "v1", {"r1"});
+  cache.Insert("k2", "v2", {"r2"});
+  cache.Insert("k3", "v3", {"r3"});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_FALSE(cache.Lookup("k1").has_value());  // LRU evicted
   EXPECT_TRUE(cache.Lookup("k3").has_value());
@@ -532,9 +532,9 @@ TEST(ResultCacheUnit, CapacityEviction) {
 
 TEST(ResultCacheUnit, InvalidateOnlyAffectedEntries) {
   ResultCache cache(16);
-  cache.Insert("a", "1", {{"shared", 1}, {"only-a", 2}});
-  cache.Insert("b", "2", {{"shared", 1}});
-  cache.Insert("c", "3", {{"only-c", 3}});
+  cache.Insert("a", "1", {"shared", "only-a"});
+  cache.Insert("b", "2", {"shared"});
+  cache.Insert("c", "3", {"only-c"});
   std::vector<std::string> written = {"shared"};
   cache.InvalidateWrites(written);
   EXPECT_FALSE(cache.Lookup("a").has_value());
@@ -547,8 +547,8 @@ TEST(ResultCacheUnit, InvalidateOnlyAffectedEntries) {
 
 TEST(ResultCacheUnit, RemoteInvalidationsCountedSeparately) {
   ResultCache cache(16);
-  cache.Insert("a", "1", {{"shared", 1}});
-  cache.Insert("b", "2", {{"only-b", 2}});
+  cache.Insert("a", "1", {"shared"});
+  cache.Insert("b", "2", {"only-b"});
   std::vector<std::string> written = {"shared"};
   cache.InvalidateWrites(written, /*remote=*/true);
   EXPECT_FALSE(cache.Lookup("a").has_value());

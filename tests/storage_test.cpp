@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,6 +27,7 @@
 #include "storage/sstable.h"
 #include "storage/wal.h"
 #include "storage/write_batch.h"
+#include "slow_wal_sync_env.h"
 
 namespace lo::storage {
 namespace {
@@ -1342,6 +1344,159 @@ TEST(FaultyEnvTest, SyncFailureSurfacesToCallerAndWalRotates) {
 
 // ---------------------------------------------------------- Group commit
 
+// A queued commit for driving the grouping rule (CommitGroup::Seal and
+// CommitGroup::Resolve) with no thread: it records how it resolved.
+struct RuleMember {
+  WriteBatch batch;
+  int id = 0;
+  std::vector<std::pair<int, Status>>* resolved = nullptr;
+  void Resolve(const Status& status) { resolved->emplace_back(id, status); }
+};
+
+WriteBatch PutBatch(const std::string& key, size_t value_bytes) {
+  WriteBatch batch;
+  batch.Put(key, std::string(value_bytes, 'v'));
+  return batch;
+}
+
+using RuleGroup = CommitGroup<RuleMember>;
+
+std::vector<int> MemberIds(const RuleGroup& group) {
+  std::vector<int> ids;
+  for (const RuleMember& member : group.members) ids.push_back(member.id);
+  return ids;
+}
+
+TEST(GroupCommitRuleTest, SealsMembersInArrivalOrder) {
+  std::vector<std::pair<int, Status>> resolved;
+  std::deque<RuleMember> queue;
+  for (int id = 0; id < 4; id++) {
+    queue.push_back({PutBatch("k" + std::to_string(id), 8), id, &resolved});
+  }
+  RuleGroup group = RuleGroup::Seal(&queue, 1 << 20);
+  EXPECT_EQ(MemberIds(group), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(group.combined.Count(), 4u);
+}
+
+TEST(GroupCommitRuleTest, GroupStopsBeforePassingTheByteBound) {
+  std::vector<std::pair<int, Status>> resolved;
+  std::deque<RuleMember> queue;
+  for (int id = 0; id < 5; id++) {
+    queue.push_back({PutBatch("k" + std::to_string(id), 100), id, &resolved});
+  }
+  const size_t member_bytes = queue.front().batch.ByteSize();
+  // Room for two members and most of a third.
+  const size_t max_bytes = 3 * member_bytes - 1;
+  RuleGroup first = RuleGroup::Seal(&queue, max_bytes);
+  EXPECT_EQ(MemberIds(first), (std::vector<int>{0, 1}));
+  EXPECT_EQ(first.bytes, 2 * member_bytes);
+  RuleGroup second = RuleGroup::Seal(&queue, max_bytes);
+  EXPECT_EQ(MemberIds(second), (std::vector<int>{2, 3}));
+  RuleGroup third = RuleGroup::Seal(&queue, max_bytes);
+  EXPECT_EQ(MemberIds(third), (std::vector<int>{4}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(GroupCommitRuleTest, OversizedBatchFormsAGroupOfOne) {
+  std::vector<std::pair<int, Status>> resolved;
+  std::deque<RuleMember> queue;
+  queue.push_back({PutBatch("big", 4096), 0, &resolved});
+  queue.push_back({PutBatch("small", 1), 1, &resolved});
+  RuleGroup group = RuleGroup::Seal(&queue, 64);
+  EXPECT_EQ(MemberIds(group), (std::vector<int>{0}));
+  EXPECT_GT(group.bytes, 64u);
+  ASSERT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.front().id, 1);
+}
+
+TEST(GroupCommitRuleTest, CombinedBatchKeepsMembersRecordsInOrder) {
+  // Each member carries an applied marker beside its write, laid out as
+  // runtime::AppliedMarkerKey lays it out: f\0<oid>\0\x01idem\0<tok>\0<i>.
+  auto marker = [](const std::string& oid, const std::string& token) {
+    return std::string("f\0", 2) + oid + std::string("\0\x01idem\0", 7) +
+           token + std::string("\0\0", 2);
+  };
+  std::vector<std::pair<int, Status>> resolved;
+  std::deque<RuleMember> queue;
+  for (int id = 0; id < 3; id++) {
+    std::string oid = "user/" + std::to_string(id);
+    WriteBatch batch;
+    batch.Put(oid + "/field", "v" + std::to_string(id));
+    batch.Put(marker(oid, "tok" + std::to_string(id)), "");
+    if (id == 1) batch.Delete("user/0/field");  // overrides member 0's put
+    queue.push_back({std::move(batch), id, &resolved});
+  }
+  RuleGroup group = RuleGroup::Seal(&queue, 1 << 20);
+  ASSERT_EQ(group.members.size(), 3u);
+
+  struct Recorder : WriteBatch::Handler {
+    std::vector<std::string> records;
+    void Put(std::string_view key, std::string_view) override {
+      records.push_back("put " + std::string(key));
+    }
+    void Delete(std::string_view key) override {
+      records.push_back("del " + std::string(key));
+    }
+  } recorder;
+  ASSERT_TRUE(group.combined.Iterate(&recorder).ok());
+  EXPECT_EQ(recorder.records,
+            (std::vector<std::string>{
+                "put user/0/field", "put " + marker("user/0", "tok0"),
+                "put user/1/field", "put " + marker("user/1", "tok1"),
+                "del user/0/field", "put user/2/field",
+                "put " + marker("user/2", "tok2")}));
+
+  // Written as one batch, later records win and every marker lands.
+  MemEnv env;
+  Options options;
+  options.env = &env;
+  auto db = std::move(*DB::Open(options, "/rule"));
+  ASSERT_TRUE(db->Write({}, &group.combined).ok());
+  EXPECT_TRUE(db->Get({}, "user/0/field").status().IsNotFound());
+  EXPECT_EQ(*db->Get({}, "user/1/field"), "v1");
+  EXPECT_EQ(*db->Get({}, "user/2/field"), "v2");
+  for (int id = 0; id < 3; id++) {
+    std::string oid = "user/" + std::to_string(id);
+    EXPECT_TRUE(db->Get({}, marker(oid, "tok" + std::to_string(id))).ok());
+  }
+}
+
+TEST(GroupCommitRuleTest, FailedGroupResolvesExactlyItsOwnMembers) {
+  std::vector<std::pair<int, Status>> resolved;
+  std::deque<RuleMember> queue;
+  for (int id = 0; id < 4; id++) {
+    queue.push_back({PutBatch("k" + std::to_string(id), 100), id, &resolved});
+  }
+  const size_t member_bytes = queue.front().batch.ByteSize();
+  GroupCommitStats stats;
+
+  RuleGroup failed = RuleGroup::Seal(&queue, 2 * member_bytes);
+  failed.Resolve(Status::IOError("sync failed"), &stats);
+  ASSERT_EQ(resolved.size(), 2u);
+  for (int i = 0; i < 2; i++) {
+    EXPECT_EQ(resolved[i].first, i);
+    EXPECT_FALSE(resolved[i].second.ok());
+  }
+  EXPECT_EQ(queue.size(), 2u);  // the next group's members stay queued
+  EXPECT_EQ(stats.sync_failures, 1u);
+  EXPECT_EQ(stats.groups, 1u);
+  EXPECT_EQ(stats.commits, 2u);
+
+  RuleGroup healthy = RuleGroup::Seal(&queue, 2 * member_bytes);
+  healthy.Resolve(Status::OK(), &stats);
+  ASSERT_EQ(resolved.size(), 4u);
+  for (int i = 2; i < 4; i++) {
+    EXPECT_EQ(resolved[i].first, i);
+    EXPECT_TRUE(resolved[i].second.ok());
+  }
+  EXPECT_EQ(stats.sync_failures, 1u);
+  EXPECT_EQ(stats.groups, 2u);
+  EXPECT_EQ(stats.commits, 4u);
+  EXPECT_EQ(stats.max_group_commits, 2u);
+  EXPECT_EQ(stats.coalesced_bytes, 4 * member_bytes);
+}
+
 // Commits from `threads` OS threads through one GroupCommitter, each
 // writing `per_thread` sequential keys prefixed with its thread index.
 // Returns per-thread status vectors in submission order.
@@ -1365,17 +1520,17 @@ std::vector<std::vector<Status>> CommitConcurrently(GroupCommitter* committer,
   return statuses;
 }
 
-TEST(GroupCommitTest, OneFsyncPerBatchWindowObservableViaMetrics) {
-  MemEnv env;
+TEST(GroupCommitTest, OneFsyncPerGroupObservableViaMetrics) {
+  // Each WAL sync holds the committer for 1 ms; the other threads'
+  // commits pile up behind it and form the next group.
+  SlowWalSyncEnv env(1000);
   Options options;
   options.env = &env;
   options.serialize_access = true;
   auto db = std::move(*DB::Open(options, "/gc"));
   const uint64_t syncs_before = db->GetStats().wal_syncs;
 
-  GroupCommitterOptions gc_options;
-  gc_options.max_batch_delay_us = 2000;  // window wide enough to coalesce
-  GroupCommitter committer(db.get(), gc_options);
+  GroupCommitter committer(db.get());
 
   // Export the committer's live counters the way cluster::StorageNode
   // does, and assert through the registry snapshot rather than private
@@ -1404,10 +1559,10 @@ TEST(GroupCommitTest, OneFsyncPerBatchWindowObservableViaMetrics) {
     by_name[sample.name] = sample.value;
   }
   EXPECT_EQ(by_name["gc.commits"], kThreads * kPerThread);
-  // Exactly one fsync per sealed batch window — no extra syncs snuck in
+  // Exactly one fsync per sealed group — no extra syncs snuck in
   // through another path, none were skipped.
   EXPECT_EQ(by_name["gc.groups"], by_name["db.wal_syncs_delta"]);
-  // And the window actually coalesced: far fewer fsyncs than commits.
+  // And backpressure actually coalesced: far fewer fsyncs than commits.
   EXPECT_LT(by_name["gc.groups"], by_name["gc.commits"] / 2);
 
   auto stats = committer.stats();
@@ -1426,9 +1581,7 @@ TEST(GroupCommitTest, SyncFailureFailsEveryWaiterInTheAtRiskGroups) {
   options.serialize_access = true;
   auto db = std::move(*DB::Open(options, "/gc"));
 
-  GroupCommitterOptions gc_options;
-  gc_options.max_batch_delay_us = 1000;
-  GroupCommitter committer(db.get(), gc_options);
+  GroupCommitter committer(db.get());
 
   {
     WriteBatch batch;
@@ -1480,9 +1633,7 @@ TEST(GroupCommitTest, CrashRecoveryNeverLosesAckedGroupMembers) {
 
     std::vector<std::set<std::string>> acked(4);
     {
-      GroupCommitterOptions gc_options;
-      gc_options.max_batch_delay_us = 500;
-      GroupCommitter committer(db.get(), gc_options);
+      GroupCommitter committer(db.get());
       faulty.CrashAfterWriteOps(crash_after);
 
       std::vector<std::thread> workers;

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/async_mutex.h"
@@ -373,6 +374,35 @@ TEST(ParallelNodeFairness, WeightedSharesWithinTenPercent) {
   // Queue waits were recorded against both tenants.
   EXPECT_GT(registry.QueuePercentile(1, 0.5), 0);
   EXPECT_GT(registry.QueuePercentile(2, 0.5), 0);
+}
+
+// Without a registry the lanes are the plain FIFO the off arm of the
+// noisy-neighbor bench relies on: a tenant-1 job queued behind three
+// tenant-2 jobs runs last, not second as DRR would order it.
+TEST(ParallelNodeFairness, NoRegistryLanesAreFifoAcrossTenants) {
+  NodeFixture fix(/*tenants=*/nullptr, /*lanes=*/1, /*spin_iters=*/1);
+
+  std::promise<void> gate_entered;
+  std::promise<void> gate_release;
+  std::future<void> release = gate_release.get_future();
+  fix.node->RunOnLane("gate", [&](runtime::Runtime&) {
+    gate_entered.set_value();
+    release.wait();
+  });
+  gate_entered.get_future().wait();
+
+  std::vector<int> order;  // only the lane thread appends
+  const std::vector<std::pair<int, TenantId>> jobs = {
+      {0, 2}, {1, 2}, {2, 2}, {3, 1}};
+  for (auto [job, tenant] : jobs) {
+    fix.node->RunOnLane(
+        "gate", [&order, job](runtime::Runtime&) { order.push_back(job); },
+        tenant);
+  }
+  gate_release.set_value();
+  fix.node->Drain();
+
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 // A long-running invocation is trapped mid-flight once its tenant's fuel

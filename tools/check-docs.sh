@@ -5,9 +5,13 @@
 #   2. every backticked source or doc path resolves to an existing file;
 #   3. every LO_* environment knob referenced anywhere in the code
 #      appears in docs/tuning.md, the canonical knob table;
-#   4. every LO_* name in docs/tuning.md is still read by the code, and
+#   4. every LO_* name in docs/tuning.md is still read by the code,
 #      every --flag row in its server/coordinator flag tables is still
-#      parsed by that tool, so a deleted knob cannot outlive its code.
+#      parsed by that tool, and every field row of its storage::Options
+#      and cluster::StorageNodeOptions tables is still declared by the
+#      header its section names, so a deleted knob cannot outlive its
+#      code;
+#   5. every flag a lambdastore_* tool parses is in that tool's table.
 set -u
 
 # Resolve the repo root from the script's own (symlink-free) location,
@@ -108,9 +112,24 @@ if [ -n "$missing" ]; then
 fi
 echo "all LO_* knobs are documented in docs/tuning.md"
 
+# "<tool path> <first cell>" for every flag row of each tool's table;
+# a table belongs to the "(tools/lambdastore_*.cpp)" line above it.
+flag_rows=$(
+  awk '
+    /^#/ { tool = "" }
+    match($0, /\(tools\/lambdastore_[a-z]+\.cpp\)/) {
+      tool = substr($0, RSTART + 1, RLENGTH - 2)
+    }
+    tool != "" && /^\| `--/ { split($0, cells, "|"); print tool, cells[2] }
+  ' "$tuning"
+)
+
 # The reverse direction. A documented LO_* name must still appear as a
-# quoted literal in the code, and a documented --flag as a string
-# literal ("name" or "--name") in the tool whose table lists it.
+# quoted literal in the code, a documented --flag as a string literal
+# ("name" or "--name") in the tool whose table lists it, and a field row
+# of an options table as a member of the struct its section heading
+# names, in the header named there (a dotted row such as `runtime.lanes`
+# checks its first component).
 stale=$(
   grep -oE 'LO_[A-Z0-9_]+' "$tuning" | sort -u | while read -r knob; do
     if ! grep -rqF --include='*.cpp' --include='*.cc' --include='*.h' \
@@ -118,15 +137,7 @@ stale=$(
       echo "STALE KNOB: $knob (docs/tuning.md documents it; no code reads it)"
     fi
   done
-  # "<tool path> <first cell>" for every flag row of each tool's table;
-  # a table belongs to the "(tools/lambdastore_*.cpp)" line above it.
-  awk '
-    /^#/ { tool = "" }
-    match($0, /\(tools\/lambdastore_[a-z]+\.cpp\)/) {
-      tool = substr($0, RSTART + 1, RLENGTH - 2)
-    }
-    tool != "" && /^\| `--/ { split($0, cells, "|"); print tool, cells[2] }
-  ' "$tuning" | while read -r tool cell; do
+  echo "$flag_rows" | while read -r tool cell; do
     for flag in $(echo "$cell" | grep -oE -- '--[a-z0-9-]+'); do
       name="${flag#--}"
       if ! grep -qE "\"(--)?$name\"" "$root/$tool"; then
@@ -134,9 +145,56 @@ stale=$(
       fi
     done
   done
+  # "<header> <struct> <field>" for every field row under a
+  # "## `ns::Struct` (src/<header>.h)" heading.
+  awk '
+    /^#/ { header = ""; type = "" }
+    /^## `[a-z]+::[A-Za-z]+`.*\(src\/[a-z_\/]+\.h\)/ {
+      match($0, /::[A-Za-z]+`/)
+      type = substr($0, RSTART + 2, RLENGTH - 3)
+      match($0, /\(src\/[a-z_\/]+\.h\)/)
+      header = substr($0, RSTART + 1, RLENGTH - 2)
+    }
+    header != "" && /^\| `[a-z_][a-z0-9_.]*` \|/ {
+      split($0, cells, "`")
+      split(cells[2], parts, ".")
+      print header, type, parts[1]
+    }
+  ' "$tuning" | while read -r header type field; do
+    if ! awk -v t="$type" '
+        $0 ~ "^struct " t " [{]" { on = 1 }
+        on { print }
+        on && /^};/ { exit }
+      ' "$root/$header" | grep -qE "[[:space:]*&]$field( = |;| [{])"; then
+      echo "STALE FIELD: $field (docs/tuning.md lists it under $type; $header does not declare it)"
+    fi
+  done
 )
 if [ -n "$stale" ]; then
   echo "$stale"
   exit 1
 fi
-echo "every knob and flag in docs/tuning.md exists in the code"
+echo "every knob, flag and field in docs/tuning.md exists in the code"
+
+# The forward direction for flags: every flag a lambdastore_* tool
+# parses, as ParseFlag(argv[i], "name", ...) or as
+# strcmp(argv[i], "--name"), must be in that tool's table.
+undocumented=$(
+  for path in "$root"/tools/lambdastore_*.cpp; do
+    tool="${path#"$root"/}"
+    documented=$(echo "$flag_rows" | awk -v t="$tool" '$1 == t' |
+      grep -oE -- '--[a-z0-9-]+' | sort -u)
+    grep -oE 'ParseFlag\(argv\[i\], "[a-z0-9-]+"|strcmp\(argv\[i\], "--[a-z0-9-]+"' \
+      "$path" | grep -oE '"(--)?[a-z0-9-]+"' | tr -d '"' | sed 's/^--//' |
+      sort -u | while read -r name; do
+        if ! echo "$documented" | grep -qxF -- "--$name"; then
+          echo "UNDOCUMENTED FLAG: --$name ($tool parses it; add it to its table in docs/tuning.md)"
+        fi
+      done
+  done
+)
+if [ -n "$undocumented" ]; then
+  echo "$undocumented"
+  exit 1
+fi
+echo "every flag a tool parses is documented in docs/tuning.md"

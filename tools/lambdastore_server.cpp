@@ -29,7 +29,6 @@
 //   --block-cache-mb=N  SSTable block cache size (0 = off; default 8 MiB)
 //   --seed=N         workload generator seed (default 42)
 //   --gc-bytes=N     group-commit batch size cap
-//   --gc-delay-us=N  group-commit batch delay
 //   --memtable-shards=N  LSM memtable shards (power of two; default 1)
 //   --subcompactions=N   parallel sub-compactions per compaction (default 1)
 //   --compaction-rate-mb=N  compaction write cap, MB/s (0 = unlimited)
@@ -77,7 +76,6 @@ struct Flags {
   uint64_t seed_posts = 10;
   uint64_t seed = 42;
   int64_t gc_bytes = -1;
-  int64_t gc_delay_us = -1;
   int64_t block_cache_mb = -1;  // -1 = DB default; 0 = off
   int64_t memtable_shards = -1;
   int64_t subcompactions = -1;
@@ -128,8 +126,6 @@ Flags ParseFlags(int argc, char** argv) {
       flags.seed = std::stoull(value);
     } else if (ParseFlag(argv[i], "gc-bytes", &value)) {
       flags.gc_bytes = std::stoll(value);
-    } else if (ParseFlag(argv[i], "gc-delay-us", &value)) {
-      flags.gc_delay_us = std::stoll(value);
     } else if (ParseFlag(argv[i], "block-cache-mb", &value)) {
       flags.block_cache_mb = std::stoll(value);
     } else if (ParseFlag(argv[i], "memtable-shards", &value)) {
@@ -228,9 +224,6 @@ int main(int argc, char** argv) {
   options.net_threads = static_cast<int>(flags.net_threads);
   if (flags.gc_bytes > 0) {
     options.group_commit.max_batch_bytes = static_cast<size_t>(flags.gc_bytes);
-  }
-  if (flags.gc_delay_us >= 0) {
-    options.group_commit.max_batch_delay_us = flags.gc_delay_us;
   }
 
   // Multi-tenant QoS: outlives the node (handlers hold the pointer).
