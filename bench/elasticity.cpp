@@ -159,7 +159,6 @@ struct BenchConfig {
   int baseline_windows = 6;
   int max_windows = 60;
   double recover = 0.8;      // recovery target, fraction of baseline
-  size_t lanes = 2;          // few lanes => a hot node saturates visibly
   int64_t report_interval_ms = 100;
   int64_t rebalance_interval_ms = 200;
   double skew = 1.5;
@@ -227,7 +226,6 @@ int main(int argc, char** argv) {
   auto spawn_server = [&] {
     return Spawn(server_bin,
                  {"--coordinator=" + coord_address,
-                  "--lanes=" + std::to_string(config.lanes),
                   "--report-interval-ms=" + std::to_string(config.report_interval_ms),
                   "--seed-users=" + std::to_string(config.users),
                   "--seed-posts=" + std::to_string(config.posts_per_user),

@@ -43,7 +43,7 @@ struct ExperimentConfig {
   /// LO_GC_BYTES / LO_BLOCK_CACHE_MB / LO_MEMTABLE_SHARDS /
   /// LO_SUBCOMPACTIONS / LO_COMPACTION_RATE_MB env vars (explicit config
   /// wins). See docs/tuning.md for the full table.
-  size_t lanes = 0;                  // execution lanes per storage node
+  size_t lanes = 0;                  // lanes per sim node (real server: 1)
   size_t gc_max_batch_bytes = 0;     // WAL group-commit size bound
   int64_t block_cache_mb = -1;       // SSTable block cache (0 = off)
   int memtable_shards = 0;           // LSM memtable shards (0 = default 1)

@@ -83,10 +83,7 @@ void SpawnServer(const RealNetConfig& net, const ExperimentConfig& config,
                  std::to_string(config.workload.initial_posts_per_user));
   args.push_back("--seed=" + std::to_string(config.workload.seed));
   // Same env-then-explicit-config precedence as ApplyParallelismKnobs,
-  // delivered as flags since the server is a fresh process.
-  int64_t lanes = config.lanes > 0 ? static_cast<int64_t>(config.lanes)
-                                   : IntEnv("LO_LANES", -1);
-  if (lanes > 0) args.push_back("--lanes=" + std::to_string(lanes));
+  // delivered as a flag since the server is a fresh process.
   int64_t gc_bytes = config.gc_max_batch_bytes > 0
                          ? static_cast<int64_t>(config.gc_max_batch_bytes)
                          : IntEnv("LO_GC_BYTES", -1);
@@ -177,7 +174,7 @@ SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
   ServerProcess server;
   SpawnWithArgs(
       {net.server_bin, "--port=" + std::to_string(net.port),
-       "--net-threads=" + std::to_string(config.net_threads), "--lanes=2"},
+       "--net-threads=" + std::to_string(config.net_threads)},
       &server);
   const std::string address = "127.0.0.1:" + std::to_string(server.port);
 

@@ -39,7 +39,6 @@ StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
                          std::vector<sim::NodeId> coordinators,
                          StorageNodeOptions options)
     : options_(options),
-      types_(types),
       rpc_(net, id),
       cpu_(net.sim(), options.cores) {
   rpc_.SetTracer(options.tracer);
@@ -375,16 +374,6 @@ void StorageNode::ApplyConfig(const coord::ClusterState& state) {
   }
 }
 
-bool StorageNode::MethodIsReadOnly(std::string_view oid,
-                                   std::string_view method) const {
-  auto type_name = db_->Get({}, runtime::ObjectExistsKey(oid));
-  if (!type_name.ok()) return false;
-  const runtime::ObjectType* type = types_->Find(*type_name);
-  if (type == nullptr) return false;
-  const runtime::MethodImpl* impl = type->FindMethod(method);
-  return impl != nullptr && impl->kind == runtime::MethodKind::kReadOnly;
-}
-
 bool StorageNode::IsPrimaryFor(std::string_view oid) const {
   return shard_map_.PrimaryFor(oid) == id();
 }
@@ -496,12 +485,8 @@ sim::Task<Result<std::string>> StorageNode::HandleRead(obs::TraceContext trace,
   if (!primary && !IsReplicaFor(oid)) {
     co_return Status::WrongNode("not a replica for object");
   }
-  // Only read-only methods take the read path, at the primary too (as in
-  // runtime::ParallelNode::InvokeRead): a mutation on a backup would fork
-  // history, and one here would bypass lambda.invoke's idempotency token.
-  if (!MethodIsReadOnly(oid, read.method)) {
-    co_return Status::NotPrimary("not a read-only method");
-  }
+  // Only read-only methods take the read path, at the primary too.
+  LO_CO_RETURN_IF_ERROR(runtime_->CheckReadOnly(oid, read.method));
   if (!primary) {
     Status gate = replicator_->CheckFollowerRead(shard, read.token, read.mode,
                                                  read.staleness_epochs);

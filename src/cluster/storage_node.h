@@ -135,7 +135,6 @@ class StorageNode {
  private:
   bool IsPrimaryFor(std::string_view oid) const;
   bool IsReplicaFor(std::string_view oid) const;
-  bool MethodIsReadOnly(std::string_view oid, std::string_view method) const;
   /// Publishes every component's metrics on the injected registry.
   void RegisterMetrics(obs::MetricsRegistry* registry);
   /// Records `name` as a child span of `trace` if tracing is active.
@@ -174,7 +173,6 @@ class StorageNode {
   sim::Task<Result<std::string>> HandleInstall(sim::NodeId from, std::string payload);
 
   StorageNodeOptions options_;
-  const runtime::TypeRegistry* types_;
   sim::RpcEndpoint rpc_;
   sim::CpuModel cpu_;
   storage::MemEnv env_;

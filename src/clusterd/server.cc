@@ -26,13 +26,20 @@ constexpr int64_t kCoordTimeoutUs = 2'000'000;
 constexpr int kForwardRedirects = 2;
 /// coord.place attempts before a migration rolls back.
 constexpr int kPlaceAttempts = 3;
+/// The server runs one execution lane. Every invocation of an object,
+/// top-level or nested, then runs on the one runtime that sees its
+/// commits, as invocation linearizability and the consistent result
+/// cache need, and a nested call recurses on the lane thread instead of
+/// hopping to another lane and back. More lanes did not pay on this
+/// server: every DB call takes the DB's one serialize_access mutex, and
+/// each lane's result cache keeps its own copies of the hot timelines.
+constexpr size_t kLanes = 1;
 
 }  // namespace
 
 ServerNode::ServerNode(storage::DB* db, const runtime::TypeRegistry* types,
                        ServerNodeOptions options)
     : db_(db),
-      types_(types),
       options_(options),
       coordinator_(options.coordinator),
       server_([&options] {
@@ -50,7 +57,7 @@ ServerNode::ServerNode(storage::DB* db, const runtime::TypeRegistry* types,
         return client_options;
       }()) {
   runtime::ParallelNodeOptions node_options;
-  node_options.lanes = options_.lanes;
+  node_options.lanes = kLanes;
   node_options.group_commit = options_.group_commit;
   node_options.tenants = options_.tenants;
   node_ = std::make_unique<runtime::ParallelNode>(db_, types, node_options);
@@ -110,23 +117,64 @@ void ServerNode::CountRequest(const std::string& oid) {
   }
 }
 
-bool ServerNode::AdmitTenant(uint32_t tenant,
-                             net::RpcServer::Responder* respond) {
-  if (options_.tenants == nullptr) return true;
-  Status admitted = options_.tenants->Admit(tenant);
-  if (!admitted.ok()) {
-    (*respond)(std::move(admitted));
-    return false;
+void ServerNode::RejectWrongShard(const net::RpcServer::Responder& respond,
+                                  const char* why) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    metrics_.wrong_shard_rejects++;
   }
-  // Release exactly once, when the (possibly lane-deferred) response
-  // goes out. Responder copies share the flag.
-  auto released = std::make_shared<std::atomic<bool>>(false);
-  *respond = [registry = options_.tenants, tenant, released,
-              inner = std::move(*respond)](Result<std::string> result) {
-    if (!released->exchange(true)) registry->Release(tenant);
-    inner(std::move(result));
-  };
-  return true;
+  respond(Status::WrongShard(why));
+}
+
+void ServerNode::ServeOnLane(std::string_view oid_view,
+                             const net::RpcServer::Request& request,
+                             net::RpcServer::Responder respond, LaneCall call) {
+  runtime::ObjectId oid(oid_view);
+  CountRequest(oid);
+  if (!OwnsForExecution(oid)) {
+    RejectWrongShard(respond, "object not served here");
+    return;
+  }
+  if (options_.tenants != nullptr) {
+    // Tenant admission: over budget sheds with kTenantThrottled; else the
+    // tenant's in-flight slot is released exactly once, when the
+    // lane-deferred response goes out. Responder copies share the flag.
+    Status admitted = options_.tenants->Admit(request.tenant);
+    if (!admitted.ok()) {
+      respond(std::move(admitted));
+      return;
+    }
+    auto released = std::make_shared<std::atomic<bool>>(false);
+    respond = [registry = options_.tenants, tenant = request.tenant, released,
+               inner = std::move(respond)](Result<std::string> result) {
+      if (!released->exchange(true)) registry->Release(tenant);
+      inner(std::move(result));
+    };
+  }
+  // The job captures a copy of the id: RunOnLane reads `oid` to pick the
+  // lane, so nothing may move from it first.
+  node_->RunOnLane(
+      oid,
+      [this, oid, deadline_us = request.deadline_us,
+       respond = std::move(respond),
+       call = std::move(call)](runtime::Runtime& rt) mutable {
+        // Lane-level shed: the request waited behind a busy lane past its
+        // deadline. Counts into the same counter as arrival sheds.
+        if (deadline_us != 0 && net::EventLoop::NowUs() > deadline_us) {
+          server_.RecordShed();
+          respond(Status::Timeout("deadline expired before execution"));
+          return;
+        }
+        // Ownership re-check on the lane: a migration's extract job may
+        // have run between the loop-thread check and now; a write
+        // executed here would land in a copy that already left.
+        if (!OwnsForExecution(oid)) {
+          RejectWrongShard(respond, "object migrated while queued");
+          return;
+        }
+        respond(call(rt, std::move(oid)));
+      },
+      request.tenant);
 }
 
 void ServerNode::InstallHandlers() {
@@ -137,44 +185,15 @@ void ServerNode::InstallHandlers() {
       respond(Status::Corruption("bad invoke payload"));
       return;
     }
-    std::string oid_str(oid);
-    CountRequest(oid_str);
-    if (!OwnsForExecution(oid_str)) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      metrics_.wrong_shard_rejects++;
-      respond(Status::WrongShard("object not served here"));
-      return;
-    }
-    uint32_t tenant = request.tenant;
-    if (!AdmitTenant(tenant, &respond)) return;
-    int64_t deadline_us = request.deadline_us;
-    node_->RunOnLane(
-        oid_str, [this, oid = std::move(oid_str), method = std::string(method),
-                  argument = std::string(argument), token = std::string(token),
-                  deadline_us, tenant, respond](runtime::Runtime& rt) mutable {
-          // Lane-level shed: the request waited behind a busy lane past
-          // its deadline. Counts into the same counter as arrival sheds.
-          if (deadline_us != 0 && net::EventLoop::NowUs() > deadline_us) {
-            server_.RecordShed();
-            respond(Status::Timeout("deadline expired before execution"));
-            return;
-          }
-          // Ownership re-check on the lane: a migration's extract job
-          // may have run between the loop-thread check and now; a write
-          // executed here would land in a copy that already left.
-          if (!OwnsForExecution(oid)) {
-            {
-              std::lock_guard<std::mutex> lock(stats_mu_);
-              metrics_.wrong_shard_rejects++;
-            }
-            respond(Status::WrongShard("object migrated while queued"));
-            return;
-          }
-          respond(runtime::RunSync(rt.Invoke(std::move(oid), std::move(method),
-                                             std::move(argument), {},
-                                             std::move(token), tenant)));
-        },
-        tenant);
+    ServeOnLane(oid, request, std::move(respond),
+                [method = std::string(method), argument = std::string(argument),
+                 token = std::string(token), tenant = request.tenant](
+                    runtime::Runtime& rt, runtime::ObjectId oid) mutable {
+                  return runtime::RunSync(
+                      rt.Invoke(std::move(oid), std::move(method),
+                                std::move(argument), {}, std::move(token),
+                                tenant));
+                });
   });
 
   server_.Handle("lambda.create", [this](net::RpcServer::Request request,
@@ -184,31 +203,12 @@ void ServerNode::InstallHandlers() {
       respond(Status::Corruption("bad create payload"));
       return;
     }
-    std::string oid_str(oid);
-    CountRequest(oid_str);
-    if (!OwnsForExecution(oid_str)) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      metrics_.wrong_shard_rejects++;
-      respond(Status::WrongShard("object not served here"));
-      return;
-    }
-    uint32_t tenant = request.tenant;
-    if (!AdmitTenant(tenant, &respond)) return;
-    int64_t deadline_us = request.deadline_us;
-    node_->RunOnLane(
-        oid_str, [this, oid = std::move(oid_str),
-                  type_name = std::string(type_name),
-                  token = std::string(token), deadline_us,
-                  respond](runtime::Runtime& rt) mutable {
-          if (deadline_us != 0 && net::EventLoop::NowUs() > deadline_us) {
-            server_.RecordShed();
-            respond(Status::Timeout("deadline expired before execution"));
-            return;
-          }
-          respond(runtime::RunSync(rt.CreateObject(
-              std::move(oid), std::move(type_name), std::move(token))));
-        },
-        tenant);
+    ServeOnLane(oid, request, std::move(respond),
+                [type_name = std::string(type_name), token = std::string(token)](
+                    runtime::Runtime& rt, runtime::ObjectId oid) mutable {
+                  return runtime::RunSync(rt.CreateObject(
+                      std::move(oid), std::move(type_name), std::move(token)));
+                });
   });
 
   // Read path, wire-compatible with the sim's "lambda.read". Every read
@@ -223,61 +223,21 @@ void ServerNode::InstallHandlers() {
       respond(Status::Corruption("bad read payload"));
       return;
     }
-    std::string oid_str(read.oid);
-    CountRequest(oid_str);
-    if (!OwnsForExecution(oid_str)) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      metrics_.wrong_shard_rejects++;
-      respond(Status::WrongShard("object not served here"));
-      return;
-    }
-    uint32_t tenant = request.tenant;
-    if (!AdmitTenant(tenant, &respond)) return;
-    int64_t deadline_us = request.deadline_us;
-    node_->RunOnLane(
-        oid_str, [this, oid = std::move(oid_str),
-                  method = std::string(read.method),
-                  argument = std::string(read.argument), deadline_us, tenant,
-                  respond](runtime::Runtime& rt) mutable {
-          if (deadline_us != 0 && net::EventLoop::NowUs() > deadline_us) {
-            server_.RecordShed();
-            respond(Status::Timeout("deadline expired before execution"));
-            return;
-          }
-          if (!OwnsForExecution(oid)) {
-            {
-              std::lock_guard<std::mutex> lock(stats_mu_);
-              metrics_.wrong_shard_rejects++;
-            }
-            respond(Status::WrongShard("object migrated while queued"));
-            return;
-          }
-          // Only registered read-only methods run through the read path.
-          auto type_name = db_->Get({}, runtime::ObjectExistsKey(oid));
-          if (!type_name.ok()) {
-            respond(type_name.status());
-            return;
-          }
-          const runtime::ObjectType* type = types_->Find(*type_name);
-          const runtime::MethodImpl* impl =
-              type == nullptr ? nullptr : type->FindMethod(method);
-          if (impl == nullptr || impl->kind != runtime::MethodKind::kReadOnly) {
-            respond(Status::NotPrimary("not a read-only method"));
-            return;
-          }
-          auto result = runtime::RunSync(rt.Invoke(std::move(oid),
-                                                   std::move(method),
-                                                   std::move(argument), {}, {},
-                                                   tenant));
-          if (!result.ok()) {
-            respond(result.status());
-            return;
-          }
-          // Epoch 0: the real path has no config epochs.
-          respond(replication::EncodeTokenWrapped({0, node_->apply_epoch()},
-                                                  *result));
-        },
-        tenant);
+    ServeOnLane(read.oid, request, std::move(respond),
+                [this, method = std::string(read.method),
+                 argument = std::string(read.argument),
+                 tenant = request.tenant](runtime::Runtime& rt,
+                                          runtime::ObjectId oid) mutable
+                -> Result<std::string> {
+                  LO_RETURN_IF_ERROR(rt.CheckReadOnly(oid, method));
+                  auto result = runtime::RunSync(
+                      rt.Invoke(std::move(oid), std::move(method),
+                                std::move(argument), {}, {}, tenant));
+                  if (!result.ok()) return result.status();
+                  // Epoch 0: the real path has no config epochs.
+                  return replication::EncodeTokenWrapped(
+                      {0, node_->apply_epoch()}, *result);
+                });
   });
 
   // Live migration, source side. Extraction runs on the object's lane,
@@ -301,7 +261,7 @@ void ServerNode::InstallHandlers() {
     }
     node_->RunOnLane(
         oid_str,
-        [this, oid = std::move(oid_str), target_shard,
+        [this, oid = oid_str, target_shard,
          target_address = std::string(target_address),
          respond](runtime::Runtime&) mutable {
           auto rep = cluster::ExtractObjectRep(db_, oid);

@@ -3,16 +3,17 @@
 //
 // This is the serving core of tools/lambdastore_server.cpp, factored
 // into a library so tests and the elasticity bench can embed it. It
-// hosts a runtime::ParallelNode (execution lanes + WAL group commit)
-// behind net::RpcServer and, in cluster mode (options.coordinator set):
+// hosts a runtime::ParallelNode (one execution lane, see kLanes in
+// server.cc, + WAL group commit) behind net::RpcServer and, in cluster
+// mode (options.coordinator set):
 //
 //   * registers with the coordinator on Start() and caches the
 //     versioned ClusterView (microshard directory + node addresses);
 //   * rejects invocations for objects it does not own with the typed
 //     kWrongShard status, which clients answer with a directory refresh;
 //   * forwards *nested* invocations (ctx.Invoke from a method) to the
-//     owning peer over RPC — the calling lane helps with its own queue
-//     while it waits, the same discipline as cross-lane nesting;
+//     owning peer over RPC — the lane helps with its own queue while it
+//     waits, so a cycle of calls between servers keeps making progress;
 //   * serves live migration: "shard.migrate" extracts the object on its
 //     own lane (so every in-flight invocation of that object has
 //     executed and committed first), streams it to the target server
@@ -59,7 +60,6 @@ struct ServerNodeOptions {
   /// Coordinator "ip:port". Empty = standalone single-node mode: no
   /// registration, no directory, every object is local.
   std::string coordinator;
-  size_t lanes = 8;
   storage::GroupCommitterOptions group_commit;
   /// Load-report (= heartbeat) cadence.
   int64_t report_interval_ms = 200;
@@ -120,11 +120,18 @@ class ServerNode {
 
  private:
   void InstallHandlers();
-  /// Tenant admission gate shared by the serving handlers: sheds with
-  /// kTenantThrottled (answering via `respond`) when over budget, else
-  /// wraps `respond` so the tenant's in-flight slot is released exactly
-  /// once when the response goes out. Returns false when shed.
-  bool AdmitTenant(uint32_t tenant, net::RpcServer::Responder* respond);
+  using LaneCall = std::function<Result<std::string>(runtime::Runtime&,
+                                                     runtime::ObjectId)>;
+  /// The serving path of lambda.invoke, lambda.create and lambda.read:
+  /// counts the request, bounces an object not served here, admits the
+  /// tenant and queues `call` on the object's lane. There a request past
+  /// its deadline is shed and ownership is checked again (a migration may
+  /// have extracted the object meanwhile); `call` computes the reply.
+  void ServeOnLane(std::string_view oid, const net::RpcServer::Request& request,
+                   net::RpcServer::Responder respond, LaneCall call);
+  /// Counts a kWrongShard reject and answers it.
+  void RejectWrongShard(const net::RpcServer::Responder& respond,
+                        const char* why);
   void CountRequest(const std::string& oid);
   /// Cluster-mode ownership check; standalone always owns.
   bool OwnsForExecution(const std::string& oid) const;
@@ -144,7 +151,6 @@ class ServerNode {
   void ReportLoop();
 
   storage::DB* db_;
-  const runtime::TypeRegistry* types_;
   ServerNodeOptions options_;
   std::string coordinator_;  // empty = standalone
   sim::NodeId node_id_ = 0;

@@ -21,7 +21,7 @@ int64_t SteadyNowNs() {
 
 ParallelNode::ParallelNode(storage::DB* db, const TypeRegistry* types,
                            ParallelNodeOptions options)
-    : db_(db), types_(types), options_(options) {
+    : db_(db), options_(options) {
   // Wrap the group-commit hook: advance this node's apply-epoch to the
   // group's sequence first (so it is visible before any waiter of that
   // group unblocks — the committer calls on_commit before releasing
@@ -159,7 +159,7 @@ Result<std::string> ParallelNode::HelpingWait(
         return std::move(call->result);
       }
     }
-    if (self.runtime->LaneLock(0).locked()) continue;  // read-only caller
+    if (self.runtime->LaneLock(0).locked()) continue;  // helping would re-enter
     std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(self.mu);
@@ -194,12 +194,9 @@ void ParallelNode::Enqueue(size_t lane_index, std::function<void()> job,
   if (options_.tenants == nullptr) tenant = 0;
   uint32_t weight =
       options_.tenants != nullptr ? options_.tenants->WeightFor(tenant) : 1;
-  int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now().time_since_epoch())
-                       .count();
   {
     std::unique_lock<std::mutex> lock(lane.mu);
-    lane.queue.Push(std::move(job), tenant, weight, now_us);
+    lane.queue.Push(std::move(job), tenant, weight, SteadyNowNs() / 1000);
   }
   lane.work_cv.notify_one();
 }
@@ -208,9 +205,7 @@ bool ParallelNode::PopJob(Lane* lane, std::function<void()>* job) {
   tenant::FairQueue::Item item;
   if (!lane->queue.Pop(&item)) return false;
   if (options_.tenants != nullptr) {
-    int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                         std::chrono::steady_clock::now().time_since_epoch())
-                         .count();
+    int64_t now_us = SteadyNowNs() / 1000;
     options_.tenants->RecordQueueWait(item.tenant,
                                       std::max<int64_t>(0, now_us - item.enqueued_us));
   }
@@ -319,18 +314,8 @@ std::future<Result<std::string>> ParallelNode::InvokeRead(
           std::to_string(min_epoch)));
       return;
     }
-    // Only registered read-only methods may run through the gated path —
-    // a mutating method on a backup would fork history.
-    auto type_name = db_->Get({}, ObjectExistsKey(oid));
-    if (!type_name.ok()) {
-      promise->set_value(type_name.status());
-      return;
-    }
-    const ObjectType* type = types_->Find(*type_name);
-    const MethodImpl* impl =
-        type == nullptr ? nullptr : type->FindMethod(method);
-    if (impl == nullptr || impl->kind != MethodKind::kReadOnly) {
-      promise->set_value(Status::NotPrimary("not a read-only method"));
+    if (Status read_only = rt->CheckReadOnly(oid, method); !read_only.ok()) {
+      promise->set_value(std::move(read_only));
       return;
     }
     promise->set_value(RunSync(rt->Invoke(std::move(oid), std::move(method),

@@ -1,7 +1,11 @@
 // Real-threaded sharded executor: the OS-thread counterpart of the
-// simulated execution lanes in runtime.h. It is the executor of the real
-// server (clusterd::ServerNode, tools/lambdastore_server.cpp) and of the
-// model-checked concurrency tests.
+// simulated execution lanes in runtime.h. The real server
+// (clusterd::ServerNode, tools/lambdastore_server.cpp) runs it with one
+// lane: there every DB call takes the DB's one serialize_access mutex, so
+// more lanes bought no throughput, only a result cache per lane and two
+// thread hops per cross-lane nested call. N lanes remain for the A12
+// noisy-neighbor bench (bench/tenancy.cpp) and the model-checked
+// concurrency tests.
 //
 // A ParallelNode owns `lanes` worker threads. Every invocation is pinned
 // to lane `hash(object_id) % lanes`: distinct objects run concurrently on
@@ -21,18 +25,16 @@
 // suspending). RunSync exploits that: it starts the coroutine and
 // requires it to finish in one go.
 //
-// Nested invocations (`ctx.Invoke`) may cross lanes: the call is
-// enqueued on the target object's lane and the calling worker blocks for
-// the result. While blocked, the caller *helps* — it drains jobs from
-// its own lane's queue (only while its runtime's lane lock is free,
-// i.e. the blocked invocation was read-write and committed + unlocked
-// before nesting, per Runtime::NestedInvoke) — so a cycle of lanes
-// waiting on each other always makes progress: some blocked worker runs
-// the nested call parked in its queue. Read-only nested callers hold
-// the lane lock across the call and cannot help; a *cycle* of read-only
-// nesters would deadlock, exactly as it would under the sim runtime's
-// AsyncMutex, so the same "don't nest cyclically from read-only
-// methods" rule applies to both engines.
+// Nested invocations (`ctx.Invoke`) of a same-lane object recurse on
+// the calling thread. Cross-lane ones are enqueued on the target
+// object's lane and the calling worker blocks for the result. While
+// blocked, the caller *helps*: it runs jobs from its own lane's queue,
+// in FIFO order, whenever its runtime's lane lock is free. The lock is
+// free at every nesting point: a read-write caller commits and releases
+// it before nesting (Runtime::NestedInvoke), and Runtime::Invoke's
+// read-only path never takes it. So a cycle of lanes waiting on each
+// other always makes progress: some blocked worker runs the nested call
+// parked in its queue, after whatever was queued ahead of it.
 #pragma once
 
 #include <atomic>
@@ -218,7 +220,6 @@ class ParallelNode {
                                   std::function<void(Callback)> start);
 
   storage::DB* db_;
-  const TypeRegistry* types_;
   ParallelNodeOptions options_;
   /// Last commit sequence locally durable / applied (see apply_epoch()).
   std::atomic<uint64_t> apply_epoch_{0};

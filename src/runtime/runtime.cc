@@ -43,8 +43,19 @@ Result<std::string> Runtime::StorageRead(const std::string& key,
   return db_->Get(opts, key);
 }
 
-Result<std::string> Runtime::TypeOf(const ObjectId& oid) {
+Result<std::string> Runtime::TypeOf(std::string_view oid) {
   return db_->Get({}, ObjectExistsKey(oid));
+}
+
+Status Runtime::CheckReadOnly(std::string_view oid, std::string_view method) {
+  auto type_name = TypeOf(oid);
+  if (!type_name.ok()) return type_name.status();
+  const ObjectType* type = types_->Find(*type_name);
+  const MethodImpl* impl = type == nullptr ? nullptr : type->FindMethod(method);
+  if (impl == nullptr || impl->kind != MethodKind::kReadOnly) {
+    return Status::NotPrimary("not a read-only method");
+  }
+  return Status::OK();
 }
 
 size_t Runtime::LaneIndexFor(const ObjectId& oid) const {

@@ -91,7 +91,14 @@ class Runtime {
                                         tenant::TenantId tenant = 0);
 
   /// Type name of an existing object (NotFound otherwise).
-  Result<std::string> TypeOf(const ObjectId& oid);
+  Result<std::string> TypeOf(std::string_view oid);
+
+  /// The gate of every read path: OK iff `method` is registered read-only
+  /// on `oid`'s type. A mutating method there would fork history on a
+  /// backup, and at the primary it would bypass lambda.invoke's
+  /// idempotency token. A missing object answers with the type lookup's
+  /// status, any other refusal with kNotPrimary.
+  Status CheckReadOnly(std::string_view oid, std::string_view method);
 
   void SetCommitSink(CommitSink sink) { commit_sink_ = std::move(sink); }
   void SetRemoteInvoker(RemoteInvoker invoker) { remote_invoker_ = std::move(invoker); }

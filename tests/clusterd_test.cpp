@@ -3,8 +3,8 @@
 // directory routing across nodes, kWrongShard redirects, live object
 // migration under concurrent writers (no acked commit lost or
 // duplicated), the kill-a-server-during-migration fault path, the
-// server's read path, and the SIGTERM graceful-drain contract of the
-// server binary.
+// server's read path, result-cache invalidation by nested writes, and
+// the SIGTERM graceful-drain contract of the server binary.
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
@@ -155,7 +155,7 @@ struct Cluster {
   void AddServer() {
     servers.push_back(SpawnDaemon(
         ServerBinary(), {"--coordinator=" + coordinator.address(),
-                         "--lanes=2", "--report-interval-ms=50"}));
+                         "--report-interval-ms=50"}));
   }
 
   std::string StatsOf(net::RpcClient* rpc, const Proc& proc) {
@@ -408,7 +408,7 @@ TEST(ClusterdFaults, KillTargetDuringMigrationRollsBack) {
 }
 
 TEST(ClusterdServer, ReadRejectsModeAboveTail) {
-  Proc server = SpawnDaemon(ServerBinary(), {"--lanes=2"});
+  Proc server = SpawnDaemon(ServerBinary(), {});
   net::RpcClient rpc;
   auto client = Client::Standalone(&rpc, server.address());
   ASSERT_TRUE(client.Create("user/1", "user").ok());
@@ -434,7 +434,7 @@ TEST(ClusterdServer, StrictReadIsServedWhateverTheToken) {
   // apply-epoch this fresh server never reached. The object's only copy
   // is here and committed its writes before acking them, so the read is
   // served, not bounced with kEpochBehind.
-  Proc server = SpawnDaemon(ServerBinary(), {"--lanes=2"});
+  Proc server = SpawnDaemon(ServerBinary(), {});
   net::RpcClient rpc;
   auto client = Client::Standalone(&rpc, server.address());
   ASSERT_TRUE(client.Create("user/1", "user").ok());
@@ -454,12 +454,32 @@ TEST(ClusterdServer, StrictReadIsServedWhateverTheToken) {
   EXPECT_TRUE(TimelineMessages(*timeline).empty());
 }
 
+TEST(ClusterdServer, NestedWriteInvalidatesCachedTimeline) {
+  // A nested invocation's commit must reach every cached result that
+  // read what it wrote: a read after the write returns the write, however
+  // the write arrived (here as a store_post fanned out by create_post).
+  Proc server = SpawnDaemon(ServerBinary(), {});
+  net::RpcClient rpc;
+  auto client = Client::Standalone(&rpc, server.address());
+  ASSERT_TRUE(client.Create("user/reader", "user").ok());
+  ASSERT_TRUE(client.Create("user/author", "user").ok());
+  ASSERT_TRUE(client.Invoke("user/author", "follow", "user/reader").ok());
+  const std::string limit = retwis::EncodeU64(10);
+  auto before = client.Invoke("user/reader", "get_timeline", limit);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_TRUE(TimelineMessages(*before).empty());
+  ASSERT_TRUE(client.Invoke("user/author", "create_post", "fresh").ok());
+  auto after = client.Invoke("user/reader", "get_timeline", limit);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(TimelineMessages(*after).count("fresh"), 1u);
+}
+
 TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {
   char db_template[] = "/tmp/clusterd_drain_XXXXXX";
   ASSERT_NE(mkdtemp(db_template), nullptr);
   std::string db_path = std::string(db_template) + "/db";
 
-  Proc server = SpawnDaemon(ServerBinary(), {"--db=" + db_path, "--lanes=2"});
+  Proc server = SpawnDaemon(ServerBinary(), {"--db=" + db_path});
   {
     net::RpcClient rpc;
     auto client = Client::Standalone(&rpc, server.address());
@@ -473,7 +493,7 @@ TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {
   EXPECT_EQ(WEXITSTATUS(status), 0) << "graceful drain must exit 0";
 
   // A restart from the same path sees every acked commit.
-  Proc restarted = SpawnDaemon(ServerBinary(), {"--db=" + db_path, "--lanes=2"});
+  Proc restarted = SpawnDaemon(ServerBinary(), {"--db=" + db_path});
   net::RpcClient rpc;
   auto client = Client::Standalone(&rpc, restarted.address());
   auto timeline = client.Invoke("user/1", "get_timeline", retwis::EncodeU64(10));

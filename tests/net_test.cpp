@@ -1015,10 +1015,8 @@ TEST(MultiProcess, LoopbackRetwisSlice) {
   posix_spawn_file_actions_addclose(&actions, out_pipe[0]);
   posix_spawn_file_actions_addclose(&actions, out_pipe[1]);
   std::string arg_port = "--port=0";
-  std::string arg_lanes = "--lanes=4";
   std::string arg_users = "--seed-users=100";
-  char* argv[] = {binary.data(), arg_port.data(), arg_lanes.data(),
-                  arg_users.data(), nullptr};
+  char* argv[] = {binary.data(), arg_port.data(), arg_users.data(), nullptr};
   pid_t pid = -1;
   ASSERT_EQ(posix_spawn(&pid, binary.c_str(), &actions, nullptr, argv, environ),
             0)

@@ -11,7 +11,9 @@
 #      and cluster::StorageNodeOptions tables is still declared by the
 #      header its section names, so a deleted knob cannot outlive its
 #      code;
-#   5. every flag a lambdastore_* tool parses is in that tool's table.
+#   5. every flag a lambdastore_* tool parses is in that tool's table;
+#   6. every "--name= literal in the tests and benches names a flag that
+#      lambdastore-server or lambdastore-coordinator parses.
 set -u
 
 # Resolve the repo root from the script's own (symlink-free) location,
@@ -198,3 +200,30 @@ if [ -n "$undocumented" ]; then
   exit 1
 fi
 echo "every flag a tool parses is documented in docs/tuning.md"
+
+# Flags a spawner passes. A deleted server flag can survive as a
+# "--name=" literal in a spawn line, where it fails only once that
+# process exits with code 2, and some spawn lines run in no test (the
+# LO_NET=real path of bench/realnet.cc).
+parsed=$(
+  grep -hoE 'ParseFlag\(argv\[i\], "[a-z0-9-]+"' \
+    "$root/tools/lambdastore_server.cpp" \
+    "$root/tools/lambdastore_coordinator.cpp" |
+    grep -oE '"[a-z0-9-]+"' | tr -d '"' | sort -u
+)
+unparsed=$(
+  for path in "$root"/tests/*.cpp "$root"/bench/*.h "$root"/bench/*.cc \
+    "$root"/bench/*.cpp; do
+    grep -oE '"--[a-z0-9-]+=' "$path" | sed 's/^"--//; s/=$//' | sort -u |
+      while read -r name; do
+        if ! echo "$parsed" | grep -qxF -- "$name"; then
+          echo "UNPARSED FLAG: ${path#"$root"/} -> --$name"
+        fi
+      done
+  done
+)
+if [ -n "$unparsed" ]; then
+  echo "$unparsed"
+  exit 1
+fi
+echo "every flag a test or bench passes is parsed by a server tool"

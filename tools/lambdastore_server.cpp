@@ -1,7 +1,7 @@
 // lambdastore-server: one LambdaStore node as a real process.
 //
-// Hosts clusterd::ServerNode — runtime::ParallelNode (execution lanes +
-// WAL group commit) behind net::RpcServer, speaking the shared frame
+// Hosts clusterd::ServerNode — runtime::ParallelNode (one execution lane
+// + WAL group commit) behind net::RpcServer, speaking the shared frame
 // wire format. Standalone (no --coordinator) it is the server half of
 // the LO_NET=real bench path; with --coordinator it registers with a
 // lambdastore-coordinator process, serves only the microshards the
@@ -10,15 +10,14 @@
 // (shard.migrate / shard.install).
 //
 // Invocations complete asynchronously: the RPC handler decodes the
-// payload and enqueues on the object's lane; the lane thread re-checks
-// ownership and the deadline, runs the method, waits for the group
-// commit, and fires the Responder. The handler itself never blocks, so
-// one loop thread feeds every lane.
+// payload and enqueues on the lane; the lane thread re-checks ownership
+// and the deadline, runs the method (nested calls recurse on the same
+// thread), waits for the group commit, and fires the Responder. The
+// handler itself never blocks.
 //
 // Flags:
 //   --port=N         listen port; 0 = ephemeral (default; also LO_NET_PORT)
 //   --db=PATH        persist under PATH with PosixEnv; default in-memory
-//   --lanes=N        execution lanes (default 8)
 //   --net-threads=N  transport reactor threads, one SO_REUSEPORT
 //                    listener each (default from LO_NET_THREADS, else 1)
 //   --coordinator=IP:PORT  join the cluster at this coordinator
@@ -42,7 +41,7 @@
 // Prints "READY port=<p>" on stdout once listening (the harness and the
 // loopback smoke test parse it), then serves until SIGINT/SIGTERM or an
 // "admin.shutdown" RPC. Shutdown is a graceful drain: stop accepting,
-// finish in-flight lanes, flush the memtable. Exit code 0 = clean
+// finish the lane's queued work, flush the memtable. Exit code 0 = clean
 // drain; 1 = forced (a second signal arrived before the drain ended).
 #include <signal.h>
 #include <stdio.h>
@@ -70,7 +69,6 @@ struct Flags {
   std::string db_path;  // empty = MemEnv
   std::string coordinator;
   std::string advertise = "127.0.0.1";
-  size_t lanes = 8;
   int64_t report_interval_ms = 200;
   uint64_t seed_users = 0;
   uint64_t seed_posts = 10;
@@ -114,8 +112,6 @@ Flags ParseFlags(int argc, char** argv) {
       flags.coordinator = value;
     } else if (ParseFlag(argv[i], "advertise", &value)) {
       flags.advertise = value;
-    } else if (ParseFlag(argv[i], "lanes", &value)) {
-      flags.lanes = static_cast<size_t>(std::stoul(value));
     } else if (ParseFlag(argv[i], "report-interval-ms", &value)) {
       flags.report_interval_ms = std::stoll(value);
     } else if (ParseFlag(argv[i], "seed-users", &value)) {
@@ -170,7 +166,7 @@ int main(int argc, char** argv) {
   db_options.env = flags.db_path.empty()
                        ? static_cast<lo::storage::Env*>(&mem_env)
                        : static_cast<lo::storage::Env*>(&posix_env);
-  db_options.serialize_access = true;  // lanes + committer share the DB
+  db_options.serialize_access = true;  // lane + committer share the DB
   if (flags.block_cache_mb >= 0) {
     db_options.block_cache_bytes = static_cast<size_t>(flags.block_cache_mb)
                                    << 20;
@@ -219,7 +215,6 @@ int main(int argc, char** argv) {
   options.port = flags.port;
   options.coordinator = flags.coordinator;
   options.advertise_host = flags.advertise;
-  options.lanes = flags.lanes;
   options.report_interval_ms = flags.report_interval_ms;
   options.net_threads = static_cast<int>(flags.net_threads);
   if (flags.gc_bytes > 0) {
@@ -259,8 +254,8 @@ int main(int argc, char** argv) {
   }
 
   // Graceful drain on a helper thread so the main thread can keep
-  // watching for a second signal: stop accepting, run every in-flight
-  // lane to completion, flush the memtable. A second SIGINT/SIGTERM
+  // watching for a second signal: stop accepting, run the lane's queued
+  // work to completion, flush the memtable. A second SIGINT/SIGTERM
   // before the drain finishes forces an immediate exit with code 1, so
   // process supervisors can tell a clean stop from a kill -9-adjacent
   // one.
