@@ -39,21 +39,5 @@ int main() {
   PrintRow("\npaper (absolute): Post 1309/492, GetTimeline 30799/9106, "
            "Follow 55600/11355");
   PrintRow("paper (normalized disagg): Post 0.38, GetTimeline 0.30, Follow 0.20");
-
-  // LO_NET=real: repeat the aggregated runs against a real
-  // lambdastore-server over loopback TCP (wall-clock, real threads).
-  if (RealNetFromEnv().enabled) {
-    PrintHeader("Figure 1 (LO_NET=real): aggregated over loopback TCP");
-    PrintRow("%-12s %14s %10s %10s %10s", "Workload", "jobs/sec", "errors",
-             "p50(us)", "p99(us)");
-    for (retwis::OpType op : {retwis::OpType::kPost, retwis::OpType::kGetTimeline,
-                              retwis::OpType::kFollow}) {
-      auto real = RunRealNetExperiment(op, config);
-      PrintRow("%-12s %14.0f %10llu %10lld %10lld", retwis::OpName(op),
-               real.Throughput(), static_cast<unsigned long long>(real.errors),
-               static_cast<long long>(real.latency_us.Percentile(0.5)),
-               static_cast<long long>(real.latency_us.Percentile(0.99)));
-    }
-  }
   return 0;
 }

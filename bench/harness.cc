@@ -79,12 +79,6 @@ void ApplyParallelismKnobs(const ExperimentConfig& config,
   if (cache_mb >= 0) {
     node->db_block_cache_bytes = static_cast<size_t>(cache_mb) << 20;
   }
-  int64_t shards = int_env("LO_MEMTABLE_SHARDS", -1);
-  if (shards > 0) node->db_memtable_shards = static_cast<int>(shards);
-  int64_t subcompactions = int_env("LO_SUBCOMPACTIONS", -1);
-  if (subcompactions > 0) node->db_subcompactions = static_cast<int>(subcompactions);
-  int64_t rate_mb = int_env("LO_COMPACTION_RATE_MB", -1);
-  if (rate_mb >= 0) node->db_compaction_rate_mb = static_cast<int>(rate_mb);
   // Explicit experiment config overrides env (ablation sweeps).
   if (config.lanes > 0) node->runtime.lanes = config.lanes;
   if (config.gc_max_batch_bytes > 0) {
@@ -93,11 +87,6 @@ void ApplyParallelismKnobs(const ExperimentConfig& config,
   if (config.block_cache_mb >= 0) {
     node->db_block_cache_bytes = static_cast<size_t>(config.block_cache_mb)
                                  << 20;
-  }
-  if (config.memtable_shards > 0) node->db_memtable_shards = config.memtable_shards;
-  if (config.subcompactions > 0) node->db_subcompactions = config.subcompactions;
-  if (config.compaction_rate_mb >= 0) {
-    node->db_compaction_rate_mb = static_cast<int>(config.compaction_rate_mb);
   }
 }
 

@@ -40,15 +40,11 @@ struct ExperimentConfig {
   bool quick = false;  // shrunk parameters for smoke runs
   /// Parallelism knobs (0 / -1 = keep the node defaults). Set explicitly
   /// by ablation sweeps; every bench also honors the LO_LANES /
-  /// LO_GC_BYTES / LO_BLOCK_CACHE_MB / LO_MEMTABLE_SHARDS /
-  /// LO_SUBCOMPACTIONS / LO_COMPACTION_RATE_MB env vars (explicit config
-  /// wins). See docs/tuning.md for the full table.
+  /// LO_GC_BYTES / LO_BLOCK_CACHE_MB env vars (explicit config wins).
+  /// See docs/tuning.md for the full table.
   size_t lanes = 0;                  // lanes per sim node (real server: 1)
   size_t gc_max_batch_bytes = 0;     // WAL group-commit size bound
   int64_t block_cache_mb = -1;       // SSTable block cache (0 = off)
-  int memtable_shards = 0;           // LSM memtable shards (0 = default 1)
-  int subcompactions = 0;            // parallel sub-compactions (0 = default 1)
-  int64_t compaction_rate_mb = -1;   // compaction MB/s cap (0 = unlimited)
 };
 
 /// Resolves the parallelism knobs (env, then explicit config) onto a
@@ -148,38 +144,11 @@ class DisaggregatedSystem {
 retwis::DriverResult RunExperiment(bool aggregated, retwis::OpType op,
                                    const ExperimentConfig& config);
 
-// --- LO_NET=real: multi-process loopback deployment --------------------
-
-/// Real-transport mode, parsed from env:
-///   LO_NET=real             enable (anything else = sim only)
-///   LO_NET_PORT=<p>         server listen port (default 0 = ephemeral)
-///   LO_NET_SERVER_BIN=<p>   lambdastore-server binary (default: next to
-///                           this binary, ../tools/lambdastore-server)
-/// When enabled, benches additionally spawn one lambdastore-server
-/// process and drive it over loopback TCP with standalone
-/// clusterd::Clients — the same closed loop, but in wall-clock time on
-/// real threads.
-struct RealNetConfig {
-  bool enabled = false;
-  uint16_t port = 0;
-  std::string server_bin;
-};
-RealNetConfig RealNetFromEnv();
-
-/// Runs one op against a freshly spawned lambdastore-server: seeds the
-/// same ReTwis graph (workload num_users/posts/seed travel as server
-/// flags), runs `config.num_clients` real threads each owning a
-/// clusterd::Client over one shared net::RpcClient, measures for
-/// `config.measure` wall-clock nanoseconds after `config.warmup`, then
-/// shuts the server down (admin.shutdown + waitpid). Dies if the server
-/// cannot be spawned or does not come up.
-retwis::DriverResult RunRealNetExperiment(retwis::OpType op,
-                                          const ExperimentConfig& config);
-
 // --- A13: small-RPC transport saturation (bench/realnet_saturation) ----
 
 /// One arm of the A13 sweep: spawns a lambdastore-server with the given
-/// transport config and saturates it with a raw-socket pipelining
+/// transport config (LO_NET_PORT pins its port, LO_NET_SERVER_BIN
+/// overrides the binary) and saturates it with a raw-socket pipelining
 /// loadgen — `connections` blocking sockets, each keeping a window of
 /// `window` "ping" echo requests on the wire (whole windows written
 /// with one syscall, responses matched FIFO). Tiny payloads make

@@ -1,9 +1,6 @@
-// LO_NET=real half of the harness: spawns one lambdastore-server
-// process, drives it over loopback TCP with standalone clusterd::Clients
-// on real threads, and shuts it down cleanly. The closed loop mirrors
-// retwis::RunClosedLoop, but in wall-clock time: N client threads each
-// issue the next request as soon as the previous one completes,
-// latencies recorded after a warmup window.
+// Real-process half of the harness (experiment A13): spawns one
+// lambdastore-server process, floods it over loopback TCP from raw
+// sockets, and shuts it down cleanly.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -22,9 +19,7 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "clusterd/client.h"
 #include "common/log.h"
-#include "common/rng.h"
 #include "net/rpc_client.h"
 
 extern char** environ;
@@ -68,29 +63,6 @@ struct ServerProcess {
 };
 
 /// Spawns `args[0]` with stdout piped and blocks for "READY port=<p>".
-void SpawnWithArgs(std::vector<std::string> args, ServerProcess* server);
-
-void SpawnServer(const RealNetConfig& net, const ExperimentConfig& config,
-                 ServerProcess* server) {
-  std::vector<std::string> args;
-  args.push_back(net.server_bin);
-  args.push_back("--port=" + std::to_string(net.port));
-  // Seed the same social graph the client-side Workload generates from.
-  // (Only num_users/posts/seed travel; the fig benches leave the other
-  // workload knobs at their defaults, which the server shares.)
-  args.push_back("--seed-users=" + std::to_string(config.workload.num_users));
-  args.push_back("--seed-posts=" +
-                 std::to_string(config.workload.initial_posts_per_user));
-  args.push_back("--seed=" + std::to_string(config.workload.seed));
-  // Same env-then-explicit-config precedence as ApplyParallelismKnobs,
-  // delivered as a flag since the server is a fresh process.
-  int64_t gc_bytes = config.gc_max_batch_bytes > 0
-                         ? static_cast<int64_t>(config.gc_max_batch_bytes)
-                         : IntEnv("LO_GC_BYTES", -1);
-  if (gc_bytes > 0) args.push_back("--gc-bytes=" + std::to_string(gc_bytes));
-  SpawnWithArgs(std::move(args), server);
-}
-
 void SpawnWithArgs(std::vector<std::string> args, ServerProcess* server) {
   int pipefd[2];
   LO_CHECK_MSG(pipe(pipefd) == 0, "pipe");
@@ -169,11 +141,11 @@ uint64_t StatValue(const std::string& stats, const std::string& key) {
 }  // namespace
 
 SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
-  RealNetConfig net = RealNetFromEnv();
-  if (net.server_bin.empty()) net.server_bin = DefaultServerBin();
+  const char* bin = std::getenv("LO_NET_SERVER_BIN");
+  std::string server_bin = bin != nullptr && bin[0] != '\0' ? bin : DefaultServerBin();
   ServerProcess server;
   SpawnWithArgs(
-      {net.server_bin, "--port=" + std::to_string(net.port),
+      {server_bin, "--port=" + std::to_string(IntEnv("LO_NET_PORT", 0)),
        "--net-threads=" + std::to_string(config.net_threads)},
       &server);
   const std::string address = "127.0.0.1:" + std::to_string(server.port);
@@ -300,115 +272,6 @@ SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
   }
   if (server.pid > 0) {
     std::fprintf(stderr, "lambdastore-server ignored shutdown; killing\n");
-  }
-  return result;
-}
-
-RealNetConfig RealNetFromEnv() {
-  RealNetConfig config;
-  const char* mode = std::getenv("LO_NET");
-  if (mode == nullptr || std::string(mode) != "real") return config;
-  config.enabled = true;
-  config.port = static_cast<uint16_t>(IntEnv("LO_NET_PORT", 0));
-  const char* bin = std::getenv("LO_NET_SERVER_BIN");
-  config.server_bin =
-      bin != nullptr && bin[0] != '\0' ? bin : DefaultServerBin();
-  return config;
-}
-
-retwis::DriverResult RunRealNetExperiment(retwis::OpType op,
-                                          const ExperimentConfig& config) {
-  RealNetConfig net = RealNetFromEnv();
-  if (net.server_bin.empty()) net.server_bin = DefaultServerBin();
-  ServerProcess server;
-  SpawnServer(net, config, &server);
-
-  retwis::Workload workload(config.workload);
-  net::RpcClient rpc;  // one loop thread multiplexes every client thread
-  const std::string address = "127.0.0.1:" + std::to_string(server.port);
-
-  // 0 = warmup, 1 = measure, 2 = done. Requests in flight when the
-  // window closes are dropped from the tally, like the sim driver.
-  std::atomic<int> phase{0};
-  struct PerThread {
-    Histogram latency_us;
-    uint64_t completed = 0;
-    uint64_t errors = 0;
-  };
-  std::vector<PerThread> slots(config.num_clients);
-  std::vector<std::thread> threads;
-  threads.reserve(config.num_clients);
-  for (int i = 0; i < config.num_clients; i++) {
-    threads.emplace_back([&, i] {
-      clusterd::ClientOptions options;
-      options.seed = config.seed * 1000003 + static_cast<uint64_t>(i);
-      // Closed-loop measurement clients must out-wait celebrity-post
-      // fan-outs, like the sim bench client (cluster request_timeout).
-      options.request_timeout_us = 5'000'000;
-      options.retry_budget_us = 10'000'000;
-      // Tenant identity for QoS experiments against a server started
-      // with --tenants (see docs/tenancy.md); 0 = unattributed.
-      options.tenant_id =
-          static_cast<uint32_t>(IntEnv("LO_TENANT_ID", 0));
-      auto client = clusterd::Client::Standalone(&rpc, address, options);
-      Rng rng(config.workload.seed ^
-              (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i + 1)));
-      PerThread& slot = slots[static_cast<size_t>(i)];
-      while (phase.load(std::memory_order_acquire) < 2) {
-        retwis::Request request = workload.Next(op, rng);
-        auto started = std::chrono::steady_clock::now();
-        Result<std::string> result =
-            client.Invoke(request.oid, request.method, request.argument);
-        int64_t elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                                 std::chrono::steady_clock::now() - started)
-                                 .count();
-        if (phase.load(std::memory_order_acquire) == 1) {
-          if (result.ok()) {
-            slot.completed++;
-            slot.latency_us.Record(elapsed_us);
-          } else {
-            slot.errors++;
-          }
-        }
-      }
-    });
-  }
-
-  // sim::Duration is nanoseconds, so the sim windows map 1:1 onto
-  // wall-clock sleeps.
-  std::this_thread::sleep_for(std::chrono::nanoseconds(config.warmup));
-  auto measure_start = std::chrono::steady_clock::now();
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::nanoseconds(config.measure));
-  phase.store(2, std::memory_order_release);
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    measure_start)
-          .count();
-  for (std::thread& t : threads) t.join();
-
-  retwis::DriverResult result;
-  result.seconds = seconds;
-  for (PerThread& slot : slots) {
-    result.latency_us.Merge(slot.latency_us);
-    result.completed += slot.completed;
-    result.errors += slot.errors;
-  }
-
-  (void)rpc.CallSync(address, "admin.shutdown", "", 1'000'000);
-  int status = 0;
-  for (int i = 0; i < 100; i++) {  // up to 5s for the drain
-    if (waitpid(server.pid, &status, WNOHANG) == server.pid) {
-      server.Release();
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  if (server.pid > 0) {
-    std::fprintf(stderr, "lambdastore-server ignored shutdown; killing\n");
-  } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "lambdastore-server exited uncleanly (status %d)\n",
-                 status);
   }
   return result;
 }

@@ -3,28 +3,25 @@
 // Eight writer threads issue Post-shaped batches (3 puts, 256 B values,
 // sync=true) against one DB and we climb the config ladder one mechanism
 // at a time:
-//   baseline   pre-PR shape: inline maintenance — flushes and compactions
-//              run on the writer's thread, under the DB mutex
+//   baseline   inline maintenance — flushes and compactions run on the
+//              writer's thread, under the DB mutex (what lambdastore-server
+//              runs)
 //   +bg        background maintenance thread (writers only swap memtables)
 //   +subcomp   parallel sub-compactions (4)
-//   +shards    sharded memtables (4) — parallel per-shard L0 builds
-//   +recycle   WAL preallocation + file recycling
-//   shaped     background maintenance + deferred L0 trigger (32) — the
-//              write-amplification lever; carries the >=2x acceptance on
-//              low-core machines where parallel rungs can't beat wall-clock
-//   rate=8     parallel stack plus an 8 MB/s compaction rate cap —
-//              shows shaping trading throughput for smoothness
+//   shaped     background maintenance + 4 sub-compactions + deferred L0
+//              trigger (32) — the write-amplification lever
 // Every config writes one JSON line (the A8/A2b template):
 //   {"experiment":"A10","config":...,"threads":8,"throughput":...,
 //    "p50_us":...,"p99_us":...,"stall_us":...,"stall_soft":...,
-//    "stall_hard":...,"compaction_bytes":...}
-// and a final summary line records the speedup of the full config over
+//    "stall_hard":...,"compaction_bytes":...,"subcompactions_run":...,
+//    "flushes":...}
+// and a final summary line records the speedup of the best config over
 // baseline (acceptance: >= 2x at equal durability — sync=true both).
 //
-// --smoke: bounded run of baseline + the default tuned config; fails if
-// the tuned config spends more than half its write-side wall-clock
-// stalled (the stall-shaping regression guard in the default ctest).
-// LO_BENCH_QUICK=1 shrinks the measured window the same way.
+// --smoke: a bounded, paced run of the +bg+subcomp config; fails if it
+// spends more than a tenth of its write-side wall-clock stalled (the
+// stall-shaping regression guard in the default ctest).
+// LO_BENCH_QUICK=1 shrinks the measured window.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -48,15 +45,12 @@ using namespace lo::storage;
 struct BenchConfig {
   const char* name;
   bool background = false;
-  int shards = 1;
   int subcompactions = 1;
-  int rate_mb = 0;
-  bool wal_recycle = false;
   // The ladder shrinks the buffer so the run is maintenance-bound (the
   // mechanisms under test are the bottleneck); the smoke guard keeps the
   // engine's default so it measures shaping, not saturation.
   size_t write_buffer = 1 << 20;
-  int l0_trigger = 0;  // 0 = auto (4 x shard count)
+  int l0_trigger = 0;  // 0 = auto (4)
 };
 
 struct BenchResult {
@@ -84,13 +78,8 @@ BenchResult RunConfig(const BenchConfig& config, int threads, int duration_ms,
   options.serialize_access = true;
   options.write_buffer_size = config.write_buffer;
   options.background_maintenance = config.background;
-  options.memtable_shards = config.shards;
   options.subcompactions = config.subcompactions;
-  options.compaction_rate_bytes_per_sec =
-      static_cast<uint64_t>(config.rate_mb) * 1024 * 1024;
-  options.wal_recycle = config.wal_recycle;
   options.l0_compaction_trigger = config.l0_trigger;
-  if (config.wal_recycle) options.wal_preallocate_bytes = 2 << 20;
   auto db = std::move(*DB::Open(options, "/bench"));
 
   std::atomic<bool> stop{false};
@@ -153,8 +142,7 @@ void PrintJson(const BenchConfig& config, int threads, const BenchResult& r) {
       "\"throughput\":%.0f,\"p50_us\":%llu,\"p99_us\":%llu,"
       "\"stall_us\":%llu,\"stall_soft\":%llu,\"stall_hard\":%llu,"
       "\"compaction_bytes\":%llu,\"subcompactions_run\":%llu,"
-      "\"flush_output_files\":%llu,\"wal_recycles\":%llu,"
-      "\"throttle_us\":%llu}\n",
+      "\"flushes\":%llu}\n",
       config.name, threads, r.throughput,
       static_cast<unsigned long long>(r.p50_us),
       static_cast<unsigned long long>(r.p99_us),
@@ -164,9 +152,7 @@ void PrintJson(const BenchConfig& config, int threads, const BenchResult& r) {
       static_cast<unsigned long long>(r.stats.compaction_bytes_read +
                                       r.stats.compaction_bytes_written),
       static_cast<unsigned long long>(r.stats.subcompactions_run),
-      static_cast<unsigned long long>(r.stats.flush_output_files),
-      static_cast<unsigned long long>(r.stats.wal_recycles),
-      static_cast<unsigned long long>(r.stats.compaction_throttle_us));
+      static_cast<unsigned long long>(r.stats.flushes));
   std::fflush(stdout);
 }
 
@@ -180,20 +166,17 @@ int main(int argc, char** argv) {
   int duration_ms = quick ? 400 : 2000;
 
   const BenchConfig kBaseline = {.name = "baseline"};
-  const BenchConfig kTuned = {.name = "bg+subcomp+shards",
+  const BenchConfig kTuned = {.name = "+bg+subcomp",
                               .background = true,
-                              .shards = 4,
                               .subcompactions = 4};
   // Stall-shaped config: background maintenance with a deferred L0
   // trigger (32 files before the score reaches 1.0, soft slowdown at 64,
   // stop at 96). Deferring L0->L1 merges amortizes them over more input
   // and cuts write amplification roughly 3x at this write rate; this is
-  // the config that carries the >=2x acceptance on low-core machines,
-  // where the parallel rungs cannot beat wall-clock (docs/tuning.md).
+  // the config that carries the >=2x acceptance (docs/tuning.md).
   const BenchConfig kShaped = {.name = "shaped-trigger32",
                                .background = true,
                                .subcompactions = 4,
-                               .wal_recycle = true,
                                .l0_trigger = 32};
 
   if (smoke) {
@@ -224,20 +207,8 @@ int main(int argc, char** argv) {
   std::vector<BenchConfig> ladder = {
       kBaseline,
       {.name = "+bg", .background = true},
-      {.name = "+bg+subcomp", .background = true, .subcompactions = 4},
       kTuned,
-      {.name = "+bg+subcomp+shards+recycle",
-       .background = true,
-       .shards = 4,
-       .subcompactions = 4,
-       .wal_recycle = true},
       kShaped,
-      {.name = "rate=8",
-       .background = true,
-       .shards = 4,
-       .subcompactions = 4,
-       .rate_mb = 8,
-       .wal_recycle = true},
   };
   double baseline_tput = 0, tuned_tput = 0, shaped_tput = 0;
   for (const auto& config : ladder) {

@@ -46,10 +46,6 @@ StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
   db_options.env = &env_;
   db_options.write_buffer_size = options.db_write_buffer_size;
   db_options.block_cache_bytes = options.db_block_cache_bytes;
-  db_options.memtable_shards = options.db_memtable_shards;
-  db_options.subcompactions = options.db_subcompactions;
-  db_options.compaction_rate_bytes_per_sec =
-      static_cast<uint64_t>(options.db_compaction_rate_mb) * 1024 * 1024;
   db_options.tracer = options.tracer;
   db_options.node_label = id;
   if (options.tracer != nullptr) {
@@ -262,8 +258,8 @@ void StorageNode::RegisterMetrics(obs::MetricsRegistry* reg) {
   });
   // Write-path shaping (docs/tuning.md "reading the obs metrics"):
   // stall_us growing means the LSM is pushing back on writers;
-  // compaction.inflight > 0 sustained with stall_soft climbing means the
-  // compaction budget (subcompactions / rate limit) is the bottleneck.
+  // compaction.inflight > 0 sustained with stall_soft climbing means
+  // compaction, not flush, is the bottleneck.
   reg->RegisterCallback("storage.stall_us", node, [this] {
     return static_cast<double>(db_->GetStats().stall_us);
   });
@@ -279,15 +275,6 @@ void StorageNode::RegisterMetrics(obs::MetricsRegistry* reg) {
   });
   reg->RegisterCallback("compaction.inflight", node, [this] {
     return static_cast<double>(db_->GetStats().compactions_inflight);
-  });
-  reg->RegisterCallback("compaction.subcompactions", node, [this] {
-    return static_cast<double>(db_->GetStats().subcompactions_run);
-  });
-  reg->RegisterCallback("compaction.throttle_us", node, [this] {
-    return static_cast<double>(db_->GetStats().compaction_throttle_us);
-  });
-  reg->RegisterCallback("memtable.shards", node, [this] {
-    return static_cast<double>(db_->GetStats().memtable_shards);
   });
   // Recovery path: these stay zero in healthy runs; any nonzero value in a
   // fault experiment shows which recovery mechanism fired.

@@ -46,18 +46,6 @@ struct StorageNodeOptions {
   /// (GetTimeline) live or die on this; bench/harness reads
   /// LO_BLOCK_CACHE_MB into it.
   size_t db_block_cache_bytes = 16 << 20;
-  /// Memtable shards (rounded up to a power of two; 1 = classic single
-  /// memtable). Keys route by the same FNV-1a hash the runtime uses for
-  /// lane pinning. bench/harness reads LO_MEMTABLE_SHARDS into it.
-  int db_memtable_shards = 1;
-  /// Max parallel sub-compactions per compaction (1 = single-threaded).
-  /// bench/harness reads LO_SUBCOMPACTIONS into it. Parallelism only
-  /// materializes under background maintenance (real threads); the sim
-  /// keeps the engine single-threaded and deterministic either way.
-  int db_subcompactions = 1;
-  /// Compaction write-rate cap in MB/s (0 = unlimited). bench/harness
-  /// reads LO_COMPACTION_RATE_MB into it.
-  int db_compaction_rate_mb = 0;
   /// WAL group commit (cluster/wal_group_commit.h): commits queued while
   /// the shard's WAL device is busy coalesce into one fsync, up to this
   /// many bytes per group (bench/harness reads LO_GC_BYTES into it).

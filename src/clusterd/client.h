@@ -39,7 +39,7 @@ struct ClientOptions {
   uint64_t seed = 7;
   /// Tenant id stamped on every request (0 = untenanted legacy traffic).
   /// Servers running with --tenants gate admission and fuel on it
-  /// (docs/tenancy.md). bench/harness reads LO_TENANT_ID into it.
+  /// (docs/tenancy.md).
   uint32_t tenant_id = 0;
   /// Observability (nullptr = off). The tracer is touched from this
   /// client's calling thread — give concurrent Clients separate tracers

@@ -1,5 +1,5 @@
 // Small fixed-size worker pool for CPU-parallel storage maintenance
-// (parallel sub-compactions and per-shard memtable flush builds). The
+// (parallel sub-compactions). The
 // pool is deliberately minimal: one blocking RunAll primitive, no
 // futures, no per-task results — callers stage their outputs in
 // task-local state and merge after RunAll returns.

@@ -1,5 +1,8 @@
 #include "runtime/result_cache.h"
 
+#include <algorithm>
+
+#include "common/log.h"
 #include "common/sha256.h"
 
 namespace lo::runtime {
@@ -32,8 +35,25 @@ std::optional<std::string> ResultCache::Lookup(const std::string& cache_key) {
   return it->second.output;
 }
 
-void ResultCache::Insert(const std::string& cache_key, std::string output,
-                         std::vector<std::string> read_keys) {
+uint64_t ResultCache::BeginFill() {
+  uint64_t fill = next_fill_++;
+  fills_.emplace(fill, Fill{});
+  return fill;
+}
+
+void ResultCache::AbandonFill(uint64_t fill) { fills_.erase(fill); }
+
+void ResultCache::Insert(uint64_t fill, const std::string& cache_key,
+                         std::string output, std::vector<std::string> read_keys) {
+  auto open = fills_.extract(fill);
+  LO_CHECK_MSG(!open.empty(), "Insert without an open fill");
+  const Fill& ended = open.mapped();
+  if (ended.cleared ||
+      std::any_of(read_keys.begin(), read_keys.end(), [&](const std::string& key) {
+        return ended.invalidated.contains(key);
+      })) {
+    return;
+  }
   Erase(cache_key);  // replace any stale entry
   Entry entry;
   entry.output = std::move(output);
@@ -53,6 +73,9 @@ void ResultCache::Insert(const std::string& cache_key, std::string output,
 
 void ResultCache::InvalidateWrites(std::span<const std::string> written_keys,
                                    bool remote) {
+  for (auto& [id, fill] : fills_) {
+    fill.invalidated.insert(written_keys.begin(), written_keys.end());
+  }
   for (const auto& key : written_keys) {
     auto [begin, end] = by_read_key_.equal_range(key);
     // Collect first: Erase mutates by_read_key_.
@@ -88,6 +111,7 @@ void ResultCache::Clear() {
   entries_.clear();
   by_read_key_.clear();
   lru_.clear();
+  for (auto& [id, fill] : fills_) fill.cleared = true;
 }
 
 }  // namespace lo::runtime

@@ -142,11 +142,13 @@ sim::Task<Result<std::string>> Runtime::Invoke(ObjectId oid, std::string method,
     // Consistent cache: co-location means every commit passed through
     // this node, so a surviving entry is exact.
     std::string cache_key;
+    uint64_t fill = 0;
     if (impl->deterministic && options_.enable_result_cache) {
       cache_key = ResultCache::MakeKey(oid, method, argument);
       if (auto cached = cache_.Lookup(cache_key)) {
         co_return std::move(*cached);
       }
+      fill = cache_.BeginFill();  // before the snapshot: see result_cache.h
     }
     const storage::Snapshot* snapshot = db_->GetSnapshot();
     InvocationContext ctx(this, oid, MethodKind::kReadOnly, snapshot);
@@ -163,8 +165,12 @@ sim::Task<Result<std::string>> Runtime::Invoke(ObjectId oid, std::string method,
                                      exec_started, clock_());
       }
     }
-    if (result.ok() && !cache_key.empty()) {
-      cache_.Insert(cache_key, *result, ctx.read_set());
+    if (!cache_key.empty()) {
+      if (result.ok()) {
+        cache_.Insert(fill, cache_key, *result, ctx.read_set());
+      } else {
+        cache_.AbandonFill(fill);
+      }
     }
     co_return result;
   }

@@ -9,6 +9,10 @@
 namespace lo::storage {
 namespace {
 
+/// log2 of the block cache's shard count: lanes reading concurrently
+/// rarely serialize on one shard mutex.
+constexpr int kBlockCacheShardBits = 4;
+
 uint64_t SteadyMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -20,7 +24,7 @@ uint64_t SteadyMicros() {
 /// retire the memtable while a DB iterator still walks it).
 class OwningMemIterator : public Iterator {
  public:
-  explicit OwningMemIterator(std::shared_ptr<ShardedMemTable> mem)
+  explicit OwningMemIterator(std::shared_ptr<MemTable> mem)
       : mem_(std::move(mem)), iter_(mem_->NewIterator()) {}
 
   bool Valid() const override { return iter_->Valid(); }
@@ -32,7 +36,7 @@ class OwningMemIterator : public Iterator {
   Status status() const override { return iter_->status(); }
 
  private:
-  std::shared_ptr<ShardedMemTable> mem_;
+  std::shared_ptr<MemTable> mem_;
   std::unique_ptr<Iterator> iter_;
 };
 
@@ -198,7 +202,7 @@ DB::DB(Options options, std::string name)
       name_(std::move(name)),
       block_cache_(options.block_cache_bytes > 0
                        ? std::make_unique<Cache>(options.block_cache_bytes,
-                                                 options.block_cache_shard_bits)
+                                                 kBlockCacheShardBits)
                        : nullptr),
       table_cache_(options.env, name_, block_cache_.get()),
       versions_(std::make_unique<VersionSet>(options.env, name_, &table_cache_)) {}
@@ -228,15 +232,13 @@ Result<std::unique_ptr<DB>> DB::Open(const Options& options, std::string name) {
 Status DB::Initialize() {
   Env* env = options_.env;
   LO_RETURN_IF_ERROR(env->CreateDir(name_));
-  mem_ = std::make_shared<ShardedMemTable>(options_.memtable_shards);
-  stats_.memtable_shards = mem_->shard_count();
+  mem_ = std::make_shared<MemTable>();
 
-  // Resolve the L0 tier ladder. Each flush emits up to one file per
-  // shard, so the auto trigger scales with the shard count to keep the
-  // trigger at ~4 flushes regardless of sharding.
+  // Resolve the L0 tier ladder. Each flush writes one L0 file, so the
+  // auto trigger starts compaction after 4 flushes.
   int trigger = options_.l0_compaction_trigger > 0
                     ? options_.l0_compaction_trigger
-                    : 4 * mem_->shard_count();
+                    : 4;
   versions_->SetL0CompactionTrigger(trigger);
   l0_slowdown_trigger_ = options_.l0_slowdown_trigger > 0
                              ? options_.l0_slowdown_trigger
@@ -244,16 +246,10 @@ Status DB::Initialize() {
   l0_stop_trigger_ =
       options_.l0_stop_trigger > 0 ? options_.l0_stop_trigger : 3 * trigger;
 
-  if (options_.compaction_rate_bytes_per_sec > 0) {
-    rate_limiter_ =
-        std::make_unique<RateLimiter>(options_.compaction_rate_bytes_per_sec);
-  }
-  int parallelism = std::max(options_.subcompactions, mem_->shard_count() > 1
-                                                          ? std::min(mem_->shard_count(), 4)
-                                                          : 1);
-  if (parallelism > 1) {
+  if (options_.subcompactions > 1) {
     // Workers beyond the calling thread (RunAll participates).
-    pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(parallelism - 1));
+    pool_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(options_.subcompactions - 1));
   }
 
   if (env->FileExists(CurrentFileName(name_))) {
@@ -265,16 +261,8 @@ Status DB::Initialize() {
     LO_ASSIGN_OR_RETURN(auto names, env->ListDir(name_));
     for (const auto& n : names) {
       uint64_t number = 0;
-      FileKind kind = ParseFileName(n, &number);
-      if (kind != FileKind::kUnknown) {
+      if (ParseFileName(n, &number) != FileKind::kUnknown) {
         versions_->EnsureFileNumberAbove(number);
-      }
-      if (kind == FileKind::kWalPool) {
-        if (options_.wal_recycle) {
-          wal_pool_.push_back(number);  // adopt parked WALs across restarts
-        } else {
-          env->DeleteFile(name_ + "/" + n).ok();
-        }
       }
     }
     LO_RETURN_IF_ERROR(versions_->WriteSnapshot());  // opens manifest writer
@@ -353,55 +341,12 @@ Status DB::RecoverWal() {
 
 Status DB::NewWal() {
   wal_number_ = versions_->NewFileNumber();
-  std::string path = WalFileName(name_, wal_number_);
-  WritableFileOptions wfo;
-  wfo.preallocate_bytes = options_.wal_preallocate_bytes;
-  std::unique_ptr<WritableFile> file;
-  if (options_.wal_recycle && !wal_pool_.empty()) {
-    // Adopt a parked (logically empty, see RetireWal) pool file so the
-    // new WAL inherits its allocation instead of growing from zero.
-    uint64_t pooled = wal_pool_.back();
-    Status renamed =
-        options_.env->RenameFile(WalPoolFileName(name_, pooled), path);
-    if (renamed.ok()) {
-      wal_pool_.pop_back();
-      wfo.reuse = true;
-      LO_ASSIGN_OR_RETURN(file, options_.env->NewWritableFile(path, wfo));
-      stats_.wal_recycles++;
-    }
-  }
-  if (file == nullptr) {
-    LO_ASSIGN_OR_RETURN(file, options_.env->NewWritableFile(path, wfo));
-    if (wfo.preallocate_bytes > 0) stats_.wal_preallocations++;
-  }
+  LO_ASSIGN_OR_RETURN(auto file,
+                      options_.env->NewWritableFile(WalFileName(name_, wal_number_)));
   wal_ = std::make_unique<wal::Writer>(std::move(file));
   // Everything at or below wal_number_ - 1 is captured by SSTables after
   // the next flush; record the log floor now.
   return Status::OK();
-}
-
-void DB::RetireWal(uint64_t number) {
-  // All best-effort: a leftover log below the floor is ignored by
-  // recovery and reaped by the next DeleteObsoleteFiles pass.
-  std::string path = WalFileName(name_, number);
-  if (options_.wal_recycle && wal_pool_.size() < 2) {
-    // Truncate the logical content *before* parking so a pool file can
-    // never carry stale records into a future WAL — a crash between
-    // these steps leaves either an empty .log below the floor or an
-    // empty POOL file, both harmless to replay.
-    WritableFileOptions wfo;
-    wfo.reuse = true;
-    auto cleared = options_.env->NewWritableFile(path, wfo);
-    if (cleared.ok()) {
-      (*cleared)->Sync().ok();
-      (*cleared)->Close().ok();
-      if (options_.env->RenameFile(path, WalPoolFileName(name_, number)).ok()) {
-        wal_pool_.push_back(number);
-        return;
-      }
-    }
-  }
-  options_.env->DeleteFile(path).ok();
 }
 
 Status DB::RotateWal() {
@@ -428,7 +373,7 @@ Status DB::RotateWal() {
     edit.SetLogNumber(wal_number_);
     LO_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
   }
-  // The abandoned WAL's tail may be torn — delete, never recycle.
+  // The abandoned WAL's tail may be torn; it backs no memtable entry.
   options_.env->DeleteFile(WalFileName(name_, old_wal)).ok();
   return Status::OK();
 }
@@ -492,7 +437,7 @@ Status DB::SwitchMemTable() {
   ImmMemTable imm;
   imm.mem = std::move(mem_);
   imm.wal_number = wal_number_;
-  mem_ = std::make_shared<ShardedMemTable>(options_.memtable_shards);
+  mem_ = std::make_shared<MemTable>();
   Status s = NewWal();
   if (!s.ok()) {
     // Roll back so the DB keeps accepting writes against the old state.
@@ -652,44 +597,19 @@ void DB::RecordInstantSpan(const char* name) {
   options_.tracer->RecordChild(write_trace_, name, options_.node_label, now, now);
 }
 
-Status DB::BuildL0Files(const ShardedMemTable& mem, std::vector<FileMetaData>* files) {
-  std::vector<int> shards;
-  for (int i = 0; i < mem.shard_count(); i++) {
-    if (mem.shard(i).entries() > 0) shards.push_back(i);
+Status DB::BuildL0File(const MemTable& mem, FileMetaData* meta) {
+  meta->number = versions_->NewFileNumber();
+  LO_ASSIGN_OR_RETURN(auto file,
+                      options_.env->NewWritableFile(TableFileName(name_, meta->number)));
+  TableBuilder builder(options_.table, std::move(file));
+  auto iter = mem.NewIterator();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    if (meta->smallest.empty()) meta->smallest.assign(iter->key());
+    meta->largest.assign(iter->key());
+    builder.Add(iter->key(), iter->value());
   }
-  files->assign(shards.size(), FileMetaData{});
-  // Mint file numbers in shard order up front so output numbering stays
-  // deterministic even when the builds below run in parallel.
-  for (auto& meta : *files) meta.number = versions_->NewFileNumber();
-
-  std::vector<Status> statuses(shards.size());
-  auto build = [&](size_t i) {
-    const MemTable& shard = mem.shard(shards[i]);
-    FileMetaData& meta = (*files)[i];
-    auto file = options_.env->NewWritableFile(TableFileName(name_, meta.number));
-    if (!file.ok()) {
-      statuses[i] = file.status();
-      return;
-    }
-    TableBuilder builder(options_.table, std::move(file).value());
-    auto iter = shard.NewIterator();
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      if (meta.smallest.empty()) meta.smallest.assign(iter->key());
-      meta.largest.assign(iter->key());
-      builder.Add(iter->key(), iter->value());
-    }
-    statuses[i] = builder.Finish();
-    meta.file_size = builder.file_size();
-  };
-  if (pool_ != nullptr && shards.size() > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards.size());
-    for (size_t i = 0; i < shards.size(); i++) tasks.push_back([&, i] { build(i); });
-    pool_->RunAll(std::move(tasks));
-  } else {
-    for (size_t i = 0; i < shards.size(); i++) build(i);
-  }
-  for (const auto& s : statuses) LO_RETURN_IF_ERROR(s);
+  LO_RETURN_IF_ERROR(builder.Finish());
+  meta->file_size = builder.file_size();
   return Status::OK();
 }
 
@@ -697,22 +617,21 @@ Status DB::FlushMemTable() {
   if (mem_->entries() == 0) return Status::OK();
   stats_.flushes++;
   RecordInstantSpan("memtable_flush");
-  std::vector<FileMetaData> files;
-  LO_RETURN_IF_ERROR(BuildL0Files(*mem_, &files));
+  FileMetaData meta;
+  LO_RETURN_IF_ERROR(BuildL0File(*mem_, &meta));
 
   uint64_t old_wal = wal_number_;
   LO_RETURN_IF_ERROR(NewWal());
   VersionEdit edit;
-  stats_.flush_output_files += files.size();
-  for (auto& meta : files) edit.AddFile(0, std::move(meta));
+  edit.AddFile(0, std::move(meta));
   edit.SetLogNumber(wal_number_);
   LO_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
-  mem_ = std::make_shared<ShardedMemTable>(options_.memtable_shards);
+  mem_ = std::make_shared<MemTable>();
   // Best effort: the old log is below the floor recorded above, so
-  // recovery ignores it; RetireWal recycles or deletes it. Nothing
-  // user-visible depends on that succeeding — unlike the WAL and
+  // recovery ignores it and DeleteObsoleteFiles reaps a leftover.
+  // Nothing user-visible depends on that succeeding — unlike the WAL and
   // manifest writes above, whose failures all propagate.
-  RetireWal(old_wal);
+  options_.env->DeleteFile(WalFileName(name_, old_wal)).ok();
   return Status::OK();
 }
 
@@ -720,25 +639,24 @@ Status DB::FlushOldestImm(std::unique_lock<std::mutex>& lock) {
   LO_CHECK(!imm_.empty());
   // The shared_ptr keeps the memtable alive while the lock is dropped;
   // it is immutable from the moment it left the write path.
-  std::shared_ptr<ShardedMemTable> mem = imm_.front().mem;
+  std::shared_ptr<MemTable> mem = imm_.front().mem;
   uint64_t imm_wal = imm_.front().wal_number;
   stats_.flushes++;
 
   lock.unlock();
-  std::vector<FileMetaData> files;
-  Status build = BuildL0Files(*mem, &files);
+  FileMetaData meta;
+  Status build = BuildL0File(*mem, &meta);
   lock.lock();
   LO_RETURN_IF_ERROR(build);
 
   VersionEdit edit;
-  stats_.flush_output_files += files.size();
-  for (auto& meta : files) edit.AddFile(0, std::move(meta));
+  edit.AddFile(0, std::move(meta));
   // The log floor advances to the next unflushed imm's WAL (everything
   // below it is now in L0), or to the live WAL when the queue drains.
   edit.SetLogNumber(imm_.size() > 1 ? imm_[1].wal_number : wal_number_);
   LO_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
   imm_.pop_front();
-  RetireWal(imm_wal);
+  options_.env->DeleteFile(WalFileName(name_, imm_wal)).ok();
   return DeleteObsoleteFiles();
 }
 
@@ -809,7 +727,6 @@ Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
   std::string current_user_key;
   bool has_current_user_key = false;
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-  uint64_t uncharged_bytes = 0;
 
   for (; merged->Valid(); merged->Next()) {
     std::string_view ikey = merged->key();
@@ -837,15 +754,6 @@ Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
       }
       last_sequence_for_key = parsed.sequence;
     }
-
-    // Rate limiting charges processed bytes (kept or dropped — both cost
-    // I/O) in coarse chunks so the token bucket isn't hammered per key.
-    uncharged_bytes += ikey.size() + merged->value().size();
-    if (rate_limiter_ != nullptr && uncharged_bytes >= 128 * 1024) {
-      rate_limiter_->Request(uncharged_bytes);
-      uncharged_bytes = 0;
-    }
-
     if (drop) continue;
     if (builder == nullptr) {
       out_meta = FileMetaData{};
@@ -862,9 +770,6 @@ Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
     }
   }
   LO_RETURN_IF_ERROR(merged->status());
-  if (rate_limiter_ != nullptr && uncharged_bytes > 0) {
-    rate_limiter_->Request(uncharged_bytes);
-  }
   return finish_output();
 }
 
@@ -889,10 +794,9 @@ Status DB::DoCompaction(const VersionSet::CompactionPick& pick,
   // per-range shadowing/tombstone logic sees exactly what a
   // single-threaded pass would.
   std::vector<std::string> splits;
-  int want = (pool_ != nullptr && options_.subcompactions > 1)
-                 ? std::min<int>(options_.subcompactions,
-                                 static_cast<int>(input_metas.size()))
-                 : 1;
+  int want = pool_ != nullptr ? std::min<int>(options_.subcompactions,
+                                              static_cast<int>(input_metas.size()))
+                              : 1;
   if (want > 1) {
     std::vector<std::string> keys;
     keys.reserve(input_metas.size() * 2);
@@ -992,11 +896,6 @@ Status DB::DeleteObsoleteFiles() {
         }
         break;
       }
-      case FileKind::kWalPool:
-        // Parked recycled WALs; kept while recycling is on. Initialize
-        // already reaped them when it is off.
-        if (!options_.wal_recycle) env->DeleteFile(name_ + "/" + n).ok();
-        break;
       default:
         break;  // CURRENT, manifests, unknown: kept
     }
@@ -1063,9 +962,6 @@ DB::Stats DB::GetStats() const {
   }
   stats.memtable_bytes = mem_->ApproximateMemoryUsage();
   for (const auto& imm : imm_) stats.memtable_bytes += imm.mem->ApproximateMemoryUsage();
-  if (rate_limiter_ != nullptr) {
-    stats.compaction_throttle_us = rate_limiter_->throttled_us();
-  }
   return stats;
 }
 

@@ -6,10 +6,13 @@
 // run synchronously (deterministically) inside the write path. The
 // real-threaded execution path (runtime/executor.h + GroupCommitter)
 // instead opens the DB with Options::serialize_access, which guards every
-// public entry point with an internal mutex, and usually also with
-// Options::background_maintenance, which moves flushes and compactions
-// off the commit path onto a maintenance thread with soft-slowdown /
-// hard-stop write shaping (see docs/minilsm.md "The write path").
+// public entry point with an internal mutex. It keeps inline maintenance:
+// lambdastore-server never sets Options::background_maintenance, so each
+// flush and compaction runs inside DB::Write on the group-commit thread,
+// holding the mutex every lane read also takes. Background maintenance
+// moves them onto a maintenance thread with soft-slowdown / hard-stop
+// write shaping (see docs/minilsm.md "The write path"); only tests and
+// bench/write_path turn it on.
 #pragma once
 
 #include <condition_variable>
@@ -28,7 +31,6 @@
 #include "storage/env.h"
 #include "storage/iterator.h"
 #include "storage/memtable.h"
-#include "storage/rate_limiter.h"
 #include "storage/version.h"
 #include "storage/write_batch.h"
 
@@ -46,10 +48,6 @@ struct Options {
   /// before touching the Env; compaction reads bypass *insertion* so bulk
   /// scans don't flush the hot set. 0 disables caching entirely.
   size_t block_cache_bytes = 8 << 20;
-  /// log2(shards) of the block cache: single-threaded sim nodes can set 0
-  /// to spare the per-shard overhead; real-threaded nodes keep the
-  /// default so lanes don't serialize on one mutex.
-  int block_cache_shard_bits = 4;
   /// If false, Open fails when the DB does not exist yet.
   bool create_if_missing = true;
   /// Guards every public DB entry point with an internal mutex so real
@@ -57,28 +55,17 @@ struct Options {
   /// DB. Off by default: simulated nodes are single-threaded and skip
   /// the locking entirely.
   bool serialize_access = false;
-  /// Memtable shards (rounded up to a power of two). Keys route by
-  /// FNV-1a over the user key — the same hash family as execution-lane
-  /// pinning — so each lane's working set concentrates in few shards.
-  /// Shards flush in parallel (one L0 file per non-empty shard) and keep
-  /// the per-shard skiplists shallow. 1 keeps the single-arena behavior.
-  int memtable_shards = 1;
   /// Max parallel sub-compactions per compaction: the input key range is
   /// partitioned into up to this many disjoint sub-ranges, each merged
   /// by its own worker, all feeding one VersionEdit. 1 = sequential.
   int subcompactions = 1;
-  /// Token-bucket limit on compaction bytes (read+write combined);
-  /// spreads compaction I/O in time so foreground p99 stops spiking when
-  /// a compaction kicks in. 0 = unlimited.
-  uint64_t compaction_rate_bytes_per_sec = 0;
   /// Runs flushes and compactions on a dedicated maintenance thread
   /// instead of inline in the write path; commits only block when the L0
   /// stall tiers engage. Requires serialize_access (real threads). Off by
   /// default: inline maintenance keeps simulated nodes deterministic.
   bool background_maintenance = false;
-  /// L0 file count where compaction starts. 0 = auto: 4 flushes' worth
-  /// of files (4 * memtable_shards, since each flush writes one file per
-  /// non-empty shard).
+  /// L0 file count where compaction starts. 0 = auto: 4 (each flush
+  /// writes one L0 file).
   int l0_compaction_trigger = 0;
   /// L0 file count where writes start taking one soft-slowdown delay
   /// each, giving compaction room before the hard stop. 0 = auto (2x the
@@ -89,12 +76,6 @@ struct Options {
   int l0_stop_trigger = 0;
   /// Delay one write takes when the soft-slowdown tier is engaged.
   uint64_t slowdown_delay_us = 1000;
-  /// Preallocation hint for new WAL files; kills the allocate-on-append
-  /// metadata fsyncs on real filesystems. 0 = no preallocation.
-  uint64_t wal_preallocate_bytes = 0;
-  /// Park retired WAL files in a small pool (POOL-<n>) and recycle their
-  /// allocation for future WALs instead of creating fresh files.
-  bool wal_recycle = false;
   /// Records instant memtable_flush / compaction spans; nullptr disables.
   obs::Tracer* tracer = nullptr;
   /// Clock for span timestamps (storage has no sim dependency, so the
@@ -194,12 +175,7 @@ class DB {
     uint64_t stall_hard = 0;      // writes that hit the hard L0/imm stop
     uint64_t stall_us = 0;        // total stalled microseconds
     uint64_t subcompactions_run = 0;     // partitioned sub-compaction tasks
-    uint64_t compaction_throttle_us = 0; // rate-limiter sleep time
     uint64_t compactions_inflight = 0;   // gauge: compactions in progress
-    uint64_t flush_output_files = 0;     // L0 files written by flushes
-    uint64_t wal_preallocations = 0;
-    uint64_t wal_recycles = 0;
-    int memtable_shards = 1;  // effective (power-of-two) shard count
     int files_per_level[kNumLevels] = {};
     uint64_t bytes_per_level[kNumLevels] = {};
     size_t memtable_bytes = 0;
@@ -235,18 +211,14 @@ class DB {
   /// prefix — and rotates to a fresh log, restoring the invariant that
   /// the live WAL tail is well-formed.
   Status RotateWal();
-  /// Retires a fully-flushed WAL: recycles it into the POOL when
-  /// wal_recycle is on (content truncated first, so a recycled file can
-  /// never replay stale records), else deletes it.
-  void RetireWal(uint64_t number);
   /// Moves the active memtable onto the imm queue (with the WAL that
   /// covers it) and opens a fresh WAL. Background mode only.
   Status SwitchMemTable();
-  /// Builds one L0 table per non-empty shard of `mem` (in parallel on
-  /// the pool when available). Called with the DB mutex held (inline
-  /// mode) or from the maintenance thread with it released; touches only
-  /// thread-safe state (env, table builder, atomic file numbers).
-  Status BuildL0Files(const ShardedMemTable& mem, std::vector<FileMetaData>* files);
+  /// Builds one L0 table from `mem`. Called with the DB mutex held
+  /// (inline mode) or from the maintenance thread with it released;
+  /// touches only thread-safe state (env, table builder, atomic file
+  /// numbers).
+  Status BuildL0File(const MemTable& mem, FileMetaData* meta);
   /// Inline flush of the active memtable (sim mode / recovery / tools).
   Status FlushMemTable();
   /// Flushes imm_.front() from the maintenance thread, dropping `lock`
@@ -282,24 +254,19 @@ class DB {
   std::unique_ptr<VersionSet> versions_;
   /// shared_ptr: open DB iterators keep their memtable snapshot alive
   /// after a flush retires it (same pattern as Table ownership).
-  std::shared_ptr<ShardedMemTable> mem_;
+  std::shared_ptr<MemTable> mem_;
   /// Immutable memtables awaiting background flush, oldest first, each
   /// with the WAL that covers it (the manifest log floor stays at the
   /// oldest entry's WAL until it flushes).
   struct ImmMemTable {
-    std::shared_ptr<ShardedMemTable> mem;
+    std::shared_ptr<MemTable> mem;
     uint64_t wal_number = 0;
   };
   std::deque<ImmMemTable> imm_;
-  /// Workers for sub-compactions and per-shard flush builds; null unless
-  /// the options ask for parallelism.
+  /// Sub-compaction workers; null unless Options::subcompactions > 1.
   std::unique_ptr<ThreadPool> pool_;
-  /// Compaction byte throttle; null when unlimited.
-  std::unique_ptr<RateLimiter> rate_limiter_;
   std::unique_ptr<wal::Writer> wal_;
   uint64_t wal_number_ = 0;
-  /// Retired-but-parked WAL numbers (POOL-<n> files) for recycling.
-  std::vector<uint64_t> wal_pool_;
   /// Set when a WAL append/sync failed; the next write rotates the WAL
   /// before proceeding (the torn tail must never be appended to).
   bool wal_failed_ = false;

@@ -4,11 +4,6 @@
 #include <filesystem>
 #include <system_error>
 
-#ifdef __linux__
-#include <fcntl.h>
-#include <stdio.h>
-#endif
-
 namespace lo::storage {
 
 Result<std::string> Env::ReadFileToString(const std::string& path) {
@@ -99,25 +94,9 @@ class MemSequentialFile : public SequentialFile {
 }  // namespace
 
 Result<std::unique_ptr<WritableFile>> MemEnv::NewWritableFile(const std::string& path) {
-  return NewWritableFile(path, WritableFileOptions{});
-}
-
-Result<std::unique_ptr<WritableFile>> MemEnv::NewWritableFile(
-    const std::string& path, const WritableFileOptions& opts) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<FileState> state;
-  auto it = files_.find(path);
-  if (opts.reuse && it != files_.end()) {
-    // Recycle the existing buffer: clear() keeps the string's capacity,
-    // so appends into a recycled WAL never reallocate.
-    state = it->second;
-    state->data.clear();
-    state->synced_length = 0;
-  } else {
-    state = std::make_shared<FileState>();
-    files_[path] = state;  // truncates any existing file
-  }
-  if (opts.preallocate_bytes > 0) state->data.reserve(opts.preallocate_bytes);
+  auto state = std::make_shared<FileState>();
+  files_[path] = state;  // truncates any existing file
   return std::unique_ptr<WritableFile>(new MemWritableFile(std::move(state)));
 }
 
@@ -267,22 +246,6 @@ class PosixSequentialFile : public SequentialFile {
 Result<std::unique_ptr<WritableFile>> PosixEnv::NewWritableFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IOError("open for write: " + path);
-  return std::unique_ptr<WritableFile>(new PosixWritableFile(f));
-}
-
-Result<std::unique_ptr<WritableFile>> PosixEnv::NewWritableFile(
-    const std::string& path, const WritableFileOptions& opts) {
-  // reuse: "wb" already truncates logical content while the filesystem
-  // tends to keep the inode; the reservation below restores the extent.
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("open for write: " + path);
-#ifdef __linux__
-  if (opts.preallocate_bytes > 0) {
-    // Best-effort: not every filesystem supports fallocate.
-    (void)posix_fallocate(fileno(f), 0,
-                          static_cast<off_t>(opts.preallocate_bytes));
-  }
-#endif
   return std::unique_ptr<WritableFile>(new PosixWritableFile(f));
 }
 

@@ -18,17 +18,10 @@
 
 namespace lo::storage {
 
-/// Creation hints for NewWritableFile. Both are best-effort: an Env that
-/// cannot honor them falls back to a plain create-and-truncate.
-struct WritableFileOptions {
-  /// Reserve this much space up front so appends never pay an
-  /// allocate-then-fsync metadata round trip (WAL preallocation).
-  uint64_t preallocate_bytes = 0;
-  /// Recycle an existing file's allocation instead of creating a fresh
-  /// one. Logical content is always truncated to empty — readers never
-  /// see stale records — only the underlying allocation is kept.
-  bool reuse = false;
-};
+/// No creation hints remain. This type and the two-argument
+/// Env::NewWritableFile below stay only because perfbench's tracing Env
+/// overrides that overload; both go with the next benchmark change.
+struct WritableFileOptions {};
 
 /// Append-only file handle.
 class WritableFile {
@@ -62,7 +55,7 @@ class Env {
   virtual ~Env() = default;
 
   virtual Result<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path) = 0;
-  /// Overload with creation hints; the default ignores them.
+  /// Forwards to the one-argument overload, which is what MiniLSM calls.
   virtual Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path, const WritableFileOptions& opts) {
     (void)opts;
@@ -96,8 +89,6 @@ class MemEnv : public Env {
  public:
   using Env::NewWritableFile;
   Result<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path) override;
-  Result<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path, const WritableFileOptions& opts) override;
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(const std::string& path) override;
   Result<std::unique_ptr<SequentialFile>> NewSequentialFile(const std::string& path) override;
   bool FileExists(const std::string& path) override;
@@ -133,8 +124,6 @@ class PosixEnv : public Env {
  public:
   using Env::NewWritableFile;
   Result<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path) override;
-  Result<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path, const WritableFileOptions& opts) override;
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(const std::string& path) override;
   Result<std::unique_ptr<SequentialFile>> NewSequentialFile(const std::string& path) override;
   bool FileExists(const std::string& path) override;

@@ -102,13 +102,8 @@ void FaultyEnv::Revive() {
 
 Result<std::unique_ptr<WritableFile>> FaultyEnv::NewWritableFile(
     const std::string& path) {
-  return NewWritableFile(path, WritableFileOptions{});
-}
-
-Result<std::unique_ptr<WritableFile>> FaultyEnv::NewWritableFile(
-    const std::string& path, const WritableFileOptions& opts) {
   if (!ChargeWriteOp()) return Crashed();
-  LO_ASSIGN_OR_RETURN(auto file, base_->NewWritableFile(path, opts));
+  LO_ASSIGN_OR_RETURN(auto file, base_->NewWritableFile(path));
   return std::unique_ptr<WritableFile>(
       new FaultyWritableFile(this, std::move(file)));
 }

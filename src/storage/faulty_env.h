@@ -40,8 +40,6 @@ class FaultyEnv : public Env {
 
   using Env::NewWritableFile;
   Result<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path) override;
-  Result<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path, const WritableFileOptions& opts) override;
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(const std::string& path) override;
   Result<std::unique_ptr<SequentialFile>> NewSequentialFile(const std::string& path) override;
   bool FileExists(const std::string& path) override;

@@ -31,21 +31,11 @@ std::string TableFileName(const std::string& dbname, uint64_t number) {
   return NumberedName(dbname, number, ".ldb");
 }
 
-std::string WalPoolFileName(const std::string& dbname, uint64_t number) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "/POOL-%06" PRIu64, number);
-  return dbname + buf;
-}
-
 FileKind ParseFileName(std::string_view name, uint64_t* number) {
   if (name == "CURRENT") return FileKind::kCurrent;
   if (name.rfind("MANIFEST-", 0) == 0) {
     *number = std::strtoull(std::string(name.substr(9)).c_str(), nullptr, 10);
     return FileKind::kManifest;
-  }
-  if (name.rfind("POOL-", 0) == 0) {
-    *number = std::strtoull(std::string(name.substr(5)).c_str(), nullptr, 10);
-    return FileKind::kWalPool;
   }
   size_t dot = name.find('.');
   if (dot == std::string_view::npos) return FileKind::kUnknown;

@@ -3,7 +3,6 @@
 //   MANIFEST-<num>     -> version-edit log
 //   <num>.log          -> WAL
 //   <num>.ldb          -> SSTable
-//   POOL-<num>         -> retired WAL parked for recycling (wal_recycle)
 #pragma once
 
 #include <cstdint>
@@ -12,13 +11,12 @@
 
 namespace lo::storage {
 
-enum class FileKind { kCurrent, kManifest, kWal, kTable, kWalPool, kUnknown };
+enum class FileKind { kCurrent, kManifest, kWal, kTable, kUnknown };
 
 std::string CurrentFileName(const std::string& dbname);
 std::string ManifestFileName(const std::string& dbname, uint64_t number);
 std::string WalFileName(const std::string& dbname, uint64_t number);
 std::string TableFileName(const std::string& dbname, uint64_t number);
-std::string WalPoolFileName(const std::string& dbname, uint64_t number);
 
 /// Parses a file *name* (no directory); number is set for numbered kinds.
 FileKind ParseFileName(std::string_view name, uint64_t* number);

@@ -1,10 +1,8 @@
 #include "storage/memtable.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/coding.h"
-#include "common/hash.h"
 #include "common/log.h"
 
 namespace lo::storage {
@@ -118,50 +116,6 @@ class MemTableIterator : public Iterator {
 
 std::unique_ptr<Iterator> MemTable::NewIterator() const {
   return std::make_unique<MemTableIterator>(&table_);
-}
-
-// -------------------------------------------------------- ShardedMemTable
-
-ShardedMemTable::ShardedMemTable(int shards) {
-  size_t n = 1;
-  while (n < static_cast<size_t>(std::max(shards, 1))) n <<= 1;
-  mask_ = n - 1;
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; i++) shards_.push_back(std::make_unique<MemTable>());
-}
-
-int ShardedMemTable::ShardFor(std::string_view user_key) const {
-  return static_cast<int>(Fnv1a64(user_key) & mask_);
-}
-
-void ShardedMemTable::Add(SequenceNumber seq, ValueType type,
-                          std::string_view user_key, std::string_view value) {
-  shards_[static_cast<size_t>(ShardFor(user_key))]->Add(seq, type, user_key, value);
-}
-
-bool ShardedMemTable::Get(std::string_view user_key, SequenceNumber seq,
-                          std::string* value, Status* s) const {
-  return shards_[static_cast<size_t>(ShardFor(user_key))]->Get(user_key, seq, value, s);
-}
-
-std::unique_ptr<Iterator> ShardedMemTable::NewIterator() const {
-  if (shards_.size() == 1) return shards_[0]->NewIterator();
-  std::vector<std::unique_ptr<Iterator>> children;
-  children.reserve(shards_.size());
-  for (const auto& shard : shards_) children.push_back(shard->NewIterator());
-  return NewMergingIterator(InternalKeyComparator{}, std::move(children));
-}
-
-size_t ShardedMemTable::ApproximateMemoryUsage() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->ApproximateMemoryUsage();
-  return total;
-}
-
-uint64_t ShardedMemTable::entries() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->entries();
-  return total;
 }
 
 }  // namespace lo::storage

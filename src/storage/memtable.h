@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "storage/arena.h"
 #include "storage/dbformat.h"
@@ -50,48 +49,6 @@ class MemTable {
   Arena arena_;
   Table table_;
   uint64_t entries_ = 0;
-};
-
-/// 2^k MemTable shards routed by FNV-1a over the user key — the same
-/// hash family the runtime uses to pin objects to execution lanes
-/// (runtime/executor.cc LaneFor), so with shards >= lanes two lanes
-/// rarely contend on one arena. With 1 shard this degenerates to the
-/// single-memtable behavior bit-for-bit (every key routes to shard 0).
-///
-/// Thread safety matches MemTable: Add for one shard must be externally
-/// serialized (the DB mutex or per-lane pinning provides this); reads
-/// may race with writes only in the way the skiplist already allows
-/// (single writer, concurrent readers are NOT supported — the DB mutex
-/// still covers Get/iterate in serialize_access mode).
-class ShardedMemTable {
- public:
-  /// `shards` is rounded up to a power of two and clamped to >= 1.
-  explicit ShardedMemTable(int shards);
-  ShardedMemTable(const ShardedMemTable&) = delete;
-  ShardedMemTable& operator=(const ShardedMemTable&) = delete;
-
-  void Add(SequenceNumber seq, ValueType type, std::string_view user_key,
-           std::string_view value);
-  /// Same contract as MemTable::Get; consults only the owning shard.
-  bool Get(std::string_view user_key, SequenceNumber seq, std::string* value,
-           Status* s) const;
-
-  /// Merged iterator over all shards in internal-key order — reads see
-  /// one logical memtable regardless of the shard count.
-  std::unique_ptr<Iterator> NewIterator() const;
-
-  /// Total across shards.
-  size_t ApproximateMemoryUsage() const;
-  uint64_t entries() const;
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  /// Which shard a user key routes to (exposed for tests).
-  int ShardFor(std::string_view user_key) const;
-  const MemTable& shard(int i) const { return *shards_[i]; }
-
- private:
-  std::vector<std::unique_ptr<MemTable>> shards_;
-  uint64_t mask_;
 };
 
 }  // namespace lo::storage

@@ -142,8 +142,7 @@ class VersionSet {
   bool NeedsCompaction() const;
 
   /// L0 file count that makes the L0 compaction score reach 1.0. The DB
-  /// sets this from Options (sharded memtables flush one file per shard,
-  /// so the trigger scales with the shard count).
+  /// sets this from Options::l0_compaction_trigger.
   void SetL0CompactionTrigger(int files);
   int l0_compaction_trigger() const { return l0_compaction_trigger_; }
 

@@ -99,22 +99,6 @@ Status WriteBatch::InsertInto(SequenceNumber base_seq, MemTable* mem) const {
   return Iterate(&inserter);
 }
 
-Status WriteBatch::InsertInto(SequenceNumber base_seq, ShardedMemTable* mem) const {
-  struct Inserter : Handler {
-    SequenceNumber seq;
-    ShardedMemTable* mem;
-    void Put(std::string_view key, std::string_view value) override {
-      mem->Add(seq++, ValueType::kValue, key, value);
-    }
-    void Delete(std::string_view key) override {
-      mem->Add(seq++, ValueType::kDeletion, key, {});
-    }
-  } inserter;
-  inserter.seq = base_seq;
-  inserter.mem = mem;
-  return Iterate(&inserter);
-}
-
 void WriteBatch::Append(const WriteBatch& other) {
   uint32_t count = Count() + other.Count();
   rep_.append(other.rep_, kHeaderSize, other.rep_.size() - kHeaderSize);

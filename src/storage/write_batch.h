@@ -17,7 +17,6 @@
 namespace lo::storage {
 
 class MemTable;
-class ShardedMemTable;
 
 class WriteBatch {
  public:
@@ -37,8 +36,6 @@ class WriteBatch {
 
   /// Applies all records to mem with sequence numbers base_seq, base_seq+1...
   Status InsertInto(SequenceNumber base_seq, MemTable* mem) const;
-  /// Same, routing each record to its memtable shard by user-key hash.
-  Status InsertInto(SequenceNumber base_seq, ShardedMemTable* mem) const;
 
   /// Visitor used by InsertInto and by replication tests.
   struct Handler {

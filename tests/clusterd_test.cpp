@@ -3,8 +3,9 @@
 // directory routing across nodes, kWrongShard redirects, live object
 // migration under concurrent writers (no acked commit lost or
 // duplicated), the kill-a-server-during-migration fault path, the
-// server's read path, result-cache invalidation by nested writes, and
-// the SIGTERM graceful-drain contract of the server binary.
+// server's read path, result-cache invalidation by nested writes, tenant
+// admission, and the SIGTERM graceful-drain contract of the server
+// binary.
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
@@ -472,6 +473,44 @@ TEST(ClusterdServer, NestedWriteInvalidatesCachedTimeline) {
   auto after = client.Invoke("user/reader", "get_timeline", limit);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(TimelineMessages(*after).count("fresh"), 1u);
+}
+
+TEST(ClusterdServer, TenantAdmissionShedsAndReleasesEachSlotOnce) {
+  // Tenant 7 gets a burst of two requests and then one per second;
+  // tenant 8 may have one request in flight. The server admits every
+  // lane-served request and must release the slot when its response
+  // leaves, or tenant 8's second request is shed as "at max in-flight".
+  Proc server = SpawnDaemon(ServerBinary(),
+                            {"--tenants=7:rate=1,burst=2;8:inflight=1"});
+  net::RpcClient rpc;
+  auto client = Client::Standalone(&rpc, server.address());
+  ASSERT_TRUE(client.Create("user/1", "user").ok());
+  const std::string payload =
+      EncodeInvoke("user/1", "get_timeline", retwis::EncodeU64(10), "");
+  auto invoke = [&](uint32_t tenant) {
+    return rpc.CallSync(server.address(), "lambda.invoke", payload, 1'000'000,
+                        {}, tenant);
+  };
+
+  int calls = 0;
+  Status shed;
+  while (shed.ok() && calls < 3) {  // burst + 1
+    auto result = invoke(7);
+    calls++;
+    if (!result.ok()) shed = result.status();
+  }
+  EXPECT_EQ(shed.code(), StatusCode::kTenantThrottled)
+      << "tenant 7 never shed in " << calls << " calls: " << shed.ToString();
+  // Unattributed traffic is never shed.
+  for (int i = 0; i < 5; i++) {
+    auto result = invoke(0);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
+  for (int i = 0; i < 20; i++) {
+    auto result = invoke(8);
+    ASSERT_TRUE(result.ok()) << "tenant 8 call " << i << ": "
+                             << result.status().ToString();
+  }
 }
 
 TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {

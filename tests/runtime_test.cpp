@@ -504,6 +504,30 @@ TEST_F(RuntimeTest, CacheInvalidatedByOverlappingWrite) {
   EXPECT_GE(stats.invalidations, 1u);
 }
 
+// A write that commits while a read-only invocation is still being
+// charged its CPU time must not leave the read's older result cached.
+TEST_F(RuntimeTest, WriteDuringReadChargeLeavesNoStaleCachedResult) {
+  Create("counter/a");
+  runtime_->SetCpuCharger([this](uint64_t) -> Task<void> {
+    co_await sim_.Sleep(sim::Micros(500));
+  });
+  Result<std::string> first = Status::Unavailable("not run");
+  Result<std::string> incr = Status::Unavailable("not run");
+  Detach([](Runtime* rt, Result<std::string>* out) -> Task<void> {
+    *out = co_await rt->Invoke("counter/a", "read", "");
+  }(runtime_.get(), &first));
+  Detach([](sim::Simulator* sim, Runtime* rt,
+            Result<std::string>* out) -> Task<void> {
+    co_await sim->Sleep(sim::Micros(100));
+    *out = co_await rt->Invoke("counter/a", "incr", "1");
+  }(&sim_, runtime_.get(), &incr));
+  sim_.Run();
+  ASSERT_TRUE(first.ok() && incr.ok());
+  EXPECT_EQ(*first, "0");
+  EXPECT_EQ(*incr, "1");
+  EXPECT_EQ(*Invoke("counter/a", "read"), "1");
+}
+
 TEST_F(RuntimeTest, CacheIsolatedPerObjectAndArgument) {
   Create("counter/a");
   Create("counter/b");
@@ -521,9 +545,9 @@ TEST_F(RuntimeTest, CacheIsolatedPerObjectAndArgument) {
 
 TEST(ResultCacheUnit, CapacityEviction) {
   ResultCache cache(2);
-  cache.Insert("k1", "v1", {"r1"});
-  cache.Insert("k2", "v2", {"r2"});
-  cache.Insert("k3", "v3", {"r3"});
+  cache.Insert(cache.BeginFill(), "k1", "v1", {"r1"});
+  cache.Insert(cache.BeginFill(), "k2", "v2", {"r2"});
+  cache.Insert(cache.BeginFill(), "k3", "v3", {"r3"});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_FALSE(cache.Lookup("k1").has_value());  // LRU evicted
   EXPECT_TRUE(cache.Lookup("k3").has_value());
@@ -532,9 +556,9 @@ TEST(ResultCacheUnit, CapacityEviction) {
 
 TEST(ResultCacheUnit, InvalidateOnlyAffectedEntries) {
   ResultCache cache(16);
-  cache.Insert("a", "1", {"shared", "only-a"});
-  cache.Insert("b", "2", {"shared"});
-  cache.Insert("c", "3", {"only-c"});
+  cache.Insert(cache.BeginFill(), "a", "1", {"shared", "only-a"});
+  cache.Insert(cache.BeginFill(), "b", "2", {"shared"});
+  cache.Insert(cache.BeginFill(), "c", "3", {"only-c"});
   std::vector<std::string> written = {"shared"};
   cache.InvalidateWrites(written);
   EXPECT_FALSE(cache.Lookup("a").has_value());
@@ -547,8 +571,8 @@ TEST(ResultCacheUnit, InvalidateOnlyAffectedEntries) {
 
 TEST(ResultCacheUnit, RemoteInvalidationsCountedSeparately) {
   ResultCache cache(16);
-  cache.Insert("a", "1", {"shared"});
-  cache.Insert("b", "2", {"only-b"});
+  cache.Insert(cache.BeginFill(), "a", "1", {"shared"});
+  cache.Insert(cache.BeginFill(), "b", "2", {"only-b"});
   std::vector<std::string> written = {"shared"};
   cache.InvalidateWrites(written, /*remote=*/true);
   EXPECT_FALSE(cache.Lookup("a").has_value());
@@ -559,6 +583,29 @@ TEST(ResultCacheUnit, RemoteInvalidationsCountedSeparately) {
   std::vector<std::string> unrelated = {"missing"};
   cache.InvalidateWrites(unrelated, /*remote=*/true);
   EXPECT_EQ(cache.stats().remote_invalidations, 1u);
+}
+
+// A fill is refused only when a key it read was written while it was
+// open (or the cache was cleared): fills that overlap unrelated writes
+// still cache, so a steady write stream does not empty the cache.
+TEST(ResultCacheUnit, FillRefusedOnlyWhenItsReadKeysChangedMidFill) {
+  ResultCache cache(16);
+  uint64_t stale = cache.BeginFill();
+  uint64_t unrelated = cache.BeginFill();
+  std::vector<std::string> written = {"x"};
+  cache.InvalidateWrites(written);
+  cache.Insert(stale, "stale", "old", {"x", "y"});
+  cache.Insert(unrelated, "unrelated", "ok", {"y"});
+  EXPECT_FALSE(cache.Lookup("stale").has_value());
+  EXPECT_TRUE(cache.Lookup("unrelated").has_value());
+  // A fill that began after the write caches normally.
+  cache.Insert(cache.BeginFill(), "later", "new", {"x"});
+  EXPECT_TRUE(cache.Lookup("later").has_value());
+
+  uint64_t across_clear = cache.BeginFill();
+  cache.Clear();
+  cache.Insert(across_clear, "cleared", "old", {"z"});
+  EXPECT_FALSE(cache.Lookup("cleared").has_value());
 }
 
 // A replicated batch shipped from a primary (OnExternalCommit) must

@@ -22,8 +22,8 @@ class SlowWalSyncEnv : public MemEnv {
 
   using MemEnv::NewWritableFile;
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path, const WritableFileOptions& opts) override {
-    auto base = MemEnv::NewWritableFile(path, opts);
+      const std::string& path) override {
+    auto base = MemEnv::NewWritableFile(path);
     if (!base.ok() || !path.ends_with(".log")) return base;
     return {std::make_unique<SlowSyncFile>(std::move(*base), sync_us_)};
   }

@@ -1687,101 +1687,6 @@ TEST(FaultyEnvTest, OpsFailWhileCrashedUntilRevived) {
   EXPECT_TRUE(faulty.NewWritableFile("/g").ok());
 }
 
-// ------------------------------------------------- Sharded memtables
-
-TEST(ShardedMemTable, RoutesByFnv1aAndReadsBack) {
-  ShardedMemTable mem(4);
-  ASSERT_EQ(mem.shard_count(), 4);
-  for (int i = 0; i < 200; i++) {
-    std::string key = "key" + std::to_string(i);
-    mem.Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue, key,
-            "v" + std::to_string(i));
-    // The entry must land in the shard the router names — the same
-    // FNV-1a family the execution lanes hash with.
-    EXPECT_GT(mem.shard(mem.ShardFor(key)).entries(), 0u);
-  }
-  for (int i = 0; i < 200; i++) {
-    std::string value;
-    Status s;
-    ASSERT_TRUE(
-        mem.Get("key" + std::to_string(i), kMaxSequenceNumber, &value, &s));
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(value, "v" + std::to_string(i));
-  }
-}
-
-TEST(ShardedMemTable, MergedIteratorIsGloballySorted) {
-  ShardedMemTable mem(8);
-  Rng rng(21);
-  std::set<std::string> keys;
-  for (int i = 0; i < 500; i++) {
-    std::string key = "k" + std::to_string(rng.Uniform(100000));
-    keys.insert(key);
-    mem.Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue, key, "v");
-  }
-  auto iter = mem.NewIterator();
-  std::string prev;
-  size_t seen = 0;
-  InternalKeyComparator icmp;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    std::string current(iter->key());
-    if (seen > 0) {
-      EXPECT_LT(icmp.Compare(prev, current), 0);
-    }
-    prev = current;
-    seen++;
-  }
-  EXPECT_EQ(seen, mem.entries());
-  EXPECT_GE(seen, keys.size());
-}
-
-TEST(ShardedMemTable, SingleShardMatchesPlainMemTable) {
-  ShardedMemTable sharded(1);
-  MemTable plain;
-  for (int i = 0; i < 100; i++) {
-    std::string key = "k" + std::to_string(i);
-    sharded.Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue, key, "v");
-    plain.Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue, key, "v");
-  }
-  auto a = sharded.NewIterator();
-  auto b = plain.NewIterator();
-  a->SeekToFirst();
-  b->SeekToFirst();
-  while (a->Valid() && b->Valid()) {
-    EXPECT_EQ(a->key(), b->key());
-    a->Next();
-    b->Next();
-  }
-  EXPECT_EQ(a->Valid(), b->Valid());
-}
-
-TEST_F(DBTest, ShardedMemtableReadYourWritesAcrossShards) {
-  // Keys that provably land in different shards must all be visible
-  // before any flush: the read path merges every shard.
-  Options options;
-  options.env = &env_;
-  options.memtable_shards = 8;
-  db_.reset();
-  auto db = DB::Open(options, "/db");
-  ASSERT_TRUE(db.ok());
-  db_ = std::move(*db);
-  ShardedMemTable router(8);
-  std::set<int> shards_hit;
-  for (int i = 0; i < 64; i++) {
-    std::string key = "rw" + std::to_string(i);
-    shards_hit.insert(router.ShardFor(key));
-    ASSERT_TRUE(db_->Put({}, key, "v" + std::to_string(i)).ok());
-    EXPECT_EQ(Get(key), "v" + std::to_string(i));
-  }
-  EXPECT_GT(shards_hit.size(), 1u) << "keys all hashed to one shard";
-  EXPECT_EQ(db_->GetStats().memtable_shards, 8);
-  // And across a flush + reopen boundary.
-  ASSERT_TRUE(db_->CompactAll().ok());
-  for (int i = 0; i < 64; i++) {
-    EXPECT_EQ(Get("rw" + std::to_string(i)), "v" + std::to_string(i));
-  }
-}
-
 // ------------------------------------------------- Sub-compactions
 
 // Writes a seeded random workload (puts, overwrites, deletes), compacts
@@ -1952,14 +1857,13 @@ TEST(StallShaping, HardStopBoundsImmBacklogAndRecovers) {
 }
 
 TEST(StallShaping, ConcurrentWritersWithFullParallelStack) {
-  // The TSan target: sharded memtables + sub-compactions + background
-  // maintenance under real concurrent writers.
+  // The TSan target: sub-compactions + background maintenance under
+  // real concurrent writers.
   MemEnv env;
   Options options;
   options.env = &env;
   options.serialize_access = true;
   options.background_maintenance = true;
-  options.memtable_shards = 4;
   options.subcompactions = 4;
   options.write_buffer_size = 16 << 10;
   options.slowdown_delay_us = 10;
@@ -1983,82 +1887,6 @@ TEST(StallShaping, ConcurrentWritersWithFullParallelStack) {
       ASSERT_TRUE(got.ok()) << key;
       EXPECT_EQ(*got, "v" + key);
     }
-  }
-}
-
-// ------------------------------------------------- WAL prealloc/recycle
-
-TEST_F(DBTest, WalRecyclePoolsRetiredLogsAndSurvivesReopen) {
-  Options options;
-  options.env = &env_;
-  options.write_buffer_size = 4 << 10;
-  options.wal_recycle = true;
-  options.wal_preallocate_bytes = 32 << 10;
-  db_.reset();
-  db_ = std::move(*DB::Open(options, "/db"));
-  std::string value(256, 'v');
-  for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(db_->Put({.sync = true}, "k" + std::to_string(i), value).ok());
-  }
-  DB::Stats stats = db_->GetStats();
-  EXPECT_GT(stats.flushes, 1u);
-  EXPECT_GT(stats.wal_recycles + stats.wal_preallocations, 0u);
-  EXPECT_GT(stats.wal_recycles, 0u) << "retired WALs never re-entered service";
-  // Clean reopen with recycling still on: pool files must not confuse
-  // recovery.
-  db_.reset();
-  db_ = std::move(*DB::Open(options, "/db"));
-  for (int i = 0; i < 200; i++) {
-    auto got = db_->Get({}, "k" + std::to_string(i));
-    ASSERT_TRUE(got.ok()) << i;
-  }
-  // Reopen with recycling off: pool files are reaped, data intact.
-  options.wal_recycle = false;
-  db_.reset();
-  db_ = std::move(*DB::Open(options, "/db"));
-  for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(db_->Get({}, "k" + std::to_string(i)).ok()) << i;
-  }
-  auto names = env_.ListDir("/db");
-  ASSERT_TRUE(names.ok());
-  for (const auto& n : *names) {
-    uint64_t number = 0;
-    EXPECT_NE(ParseFileName(n, &number), FileKind::kWalPool)
-        << n << " survived a non-recycling reopen";
-  }
-}
-
-TEST_F(DBTest, RecycledWalNeverResurrectsDeletedKeys) {
-  // The stale-record hazard: a WAL full of old puts is parked, reused,
-  // and the DB crashes right after. If parking didn't truncate, replay
-  // would resurrect the old records. Assert the tombstone wins.
-  Options options;
-  options.env = &env_;
-  options.write_buffer_size = 4 << 10;
-  options.wal_recycle = true;
-  db_.reset();
-  db_ = std::move(*DB::Open(options, "/db"));
-  std::string value(512, 'v');
-  for (int i = 0; i < 60; i++) {
-    ASSERT_TRUE(db_->Put({.sync = true}, "victim" + std::to_string(i), value).ok());
-  }
-  for (int i = 0; i < 60; i++) {
-    ASSERT_TRUE(db_->Delete({.sync = true}, "victim" + std::to_string(i)).ok());
-  }
-  // Force more flush cycles so the post-delete WALs get parked and
-  // recycled WALs re-enter service.
-  for (int i = 0; i < 60; i++) {
-    ASSERT_TRUE(db_->Put({.sync = true}, "other" + std::to_string(i), value).ok());
-  }
-  EXPECT_GT(db_->GetStats().wal_recycles, 0u);
-  // Power loss: unsynced bytes vanish, pool files stay as-parked.
-  db_.reset();
-  env_.DropUnsyncedData();
-  db_ = std::move(*DB::Open(options, "/db"));
-  for (int i = 0; i < 60; i++) {
-    auto got = db_->Get({}, "victim" + std::to_string(i));
-    EXPECT_TRUE(got.status().IsNotFound())
-        << "victim" << i << " resurrected from a recycled WAL";
   }
 }
 

@@ -13,7 +13,9 @@
 #      code;
 #   5. every flag a lambdastore_* tool parses is in that tool's table;
 #   6. every "--name= literal in the tests and benches names a flag that
-#      lambdastore-server or lambdastore-coordinator parses.
+#      lambdastore-server or lambdastore-coordinator parses;
+#   7. every backticked metric name in docs/tuning.md's "Reading the obs
+#      metrics" section is still registered under src/.
 set -u
 
 # Resolve the repo root from the script's own (symlink-free) location,
@@ -203,8 +205,7 @@ echo "every flag a tool parses is documented in docs/tuning.md"
 
 # Flags a spawner passes. A deleted server flag can survive as a
 # "--name=" literal in a spawn line, where it fails only once that
-# process exits with code 2, and some spawn lines run in no test (the
-# LO_NET=real path of bench/realnet.cc).
+# process exits with code 2, and a bench's spawn line may run in no test.
 parsed=$(
   grep -hoE 'ParseFlag\(argv\[i\], "[a-z0-9-]+"' \
     "$root/tools/lambdastore_server.cpp" \
@@ -227,3 +228,28 @@ if [ -n "$unparsed" ]; then
   exit 1
 fi
 echo "every flag a test or bench passes is parsed by a server tool"
+
+# Metric drift: a metric name in the tuning guide must be one a node
+# still publishes, i.e. the first argument of some RegisterExternal or
+# RegisterCallback call under src/. Metric names are the backticked
+# dotted lowercase names (`storage.stall_us`) of the "Reading the obs
+# metrics" section.
+registered=$(
+  grep -rhoE --include='*.cc' --include='*.cpp' --include='*.h' \
+    'Register(External|Callback)\("[^"]+"' "$root/src" |
+    sed 's/^[^"]*"//; s/"$//' | sort -u
+)
+stale_metrics=$(
+  awk '/^## / { on = ($0 ~ /^## Reading the obs metrics/) } on' "$tuning" |
+    grep -oE '`[a-z][a-z0-9_]*\.[a-z0-9_.]+`' | tr -d '`' | sort -u |
+    while read -r metric; do
+      if ! echo "$registered" | grep -qxF -- "$metric"; then
+        echo "STALE METRIC: $metric (docs/tuning.md reads it; nothing under src/ registers it)"
+      fi
+    done
+)
+if [ -n "$stale_metrics" ]; then
+  echo "$stale_metrics"
+  exit 1
+fi
+echo "every metric docs/tuning.md reads is registered under src/"

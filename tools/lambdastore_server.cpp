@@ -2,12 +2,12 @@
 //
 // Hosts clusterd::ServerNode — runtime::ParallelNode (one execution lane
 // + WAL group commit) behind net::RpcServer, speaking the shared frame
-// wire format. Standalone (no --coordinator) it is the server half of
-// the LO_NET=real bench path; with --coordinator it registers with a
-// lambdastore-coordinator process, serves only the microshards the
-// directory assigns it (bouncing the rest with kWrongShard), reports
-// per-window load, and takes part in live object migration
-// (shard.migrate / shard.install).
+// wire format. Standalone (no --coordinator) it is the server that
+// perfbench, the A13 saturation bench and the net/clusterd tests spawn;
+// with --coordinator it registers with a lambdastore-coordinator
+// process, serves only the microshards the directory assigns it
+// (bouncing the rest with kWrongShard), reports per-window load, and
+// takes part in live object migration (shard.migrate / shard.install).
 //
 // Invocations complete asynchronously: the RPC handler decodes the
 // payload and enqueues on the lane; the lane thread re-checks ownership
@@ -27,11 +27,6 @@
 //   --seed-posts=N   initial posts per user for the seeded graph
 //   --block-cache-mb=N  SSTable block cache size (0 = off; default 8 MiB)
 //   --seed=N         workload generator seed (default 42)
-//   --gc-bytes=N     group-commit batch size cap
-//   --memtable-shards=N  LSM memtable shards (power of two; default 1)
-//   --subcompactions=N   parallel sub-compactions per compaction (default 1)
-//   --compaction-rate-mb=N  compaction write cap, MB/s (0 = unlimited)
-//   --wal-prealloc-mb=N  preallocate WAL files to N MiB and recycle them
 //   --tenants=SPEC   per-tenant QoS contracts (also LO_TENANTS), e.g.
 //                    "1:weight=4,rate=2000,burst=200,fuel=5000000,inflight=64;2:weight=1"
 //   --tenant-window-ms=N  fuel-budget window length (also LO_TENANT_WINDOW_MS)
@@ -73,12 +68,7 @@ struct Flags {
   uint64_t seed_users = 0;
   uint64_t seed_posts = 10;
   uint64_t seed = 42;
-  int64_t gc_bytes = -1;
   int64_t block_cache_mb = -1;  // -1 = DB default; 0 = off
-  int64_t memtable_shards = -1;
-  int64_t subcompactions = -1;
-  int64_t compaction_rate_mb = -1;
-  int64_t wal_prealloc_mb = -1;  // >0 also turns on WAL recycling
   std::string tenants;           // QoS spec; empty = tenancy off
   int64_t tenant_window_ms = 1000;
   int64_t net_threads = 0;       // 0 = LO_NET_THREADS, default 1
@@ -120,18 +110,8 @@ Flags ParseFlags(int argc, char** argv) {
       flags.seed_posts = std::stoull(value);
     } else if (ParseFlag(argv[i], "seed", &value)) {
       flags.seed = std::stoull(value);
-    } else if (ParseFlag(argv[i], "gc-bytes", &value)) {
-      flags.gc_bytes = std::stoll(value);
     } else if (ParseFlag(argv[i], "block-cache-mb", &value)) {
       flags.block_cache_mb = std::stoll(value);
-    } else if (ParseFlag(argv[i], "memtable-shards", &value)) {
-      flags.memtable_shards = std::stoll(value);
-    } else if (ParseFlag(argv[i], "subcompactions", &value)) {
-      flags.subcompactions = std::stoll(value);
-    } else if (ParseFlag(argv[i], "compaction-rate-mb", &value)) {
-      flags.compaction_rate_mb = std::stoll(value);
-    } else if (ParseFlag(argv[i], "wal-prealloc-mb", &value)) {
-      flags.wal_prealloc_mb = std::stoll(value);
     } else if (ParseFlag(argv[i], "tenants", &value)) {
       flags.tenants = value;
     } else if (ParseFlag(argv[i], "tenant-window-ms", &value)) {
@@ -171,21 +151,6 @@ int main(int argc, char** argv) {
     db_options.block_cache_bytes = static_cast<size_t>(flags.block_cache_mb)
                                    << 20;
   }
-  if (flags.memtable_shards > 0) {
-    db_options.memtable_shards = static_cast<int>(flags.memtable_shards);
-  }
-  if (flags.subcompactions > 0) {
-    db_options.subcompactions = static_cast<int>(flags.subcompactions);
-  }
-  if (flags.compaction_rate_mb > 0) {
-    db_options.compaction_rate_bytes_per_sec =
-        static_cast<uint64_t>(flags.compaction_rate_mb) * 1024 * 1024;
-  }
-  if (flags.wal_prealloc_mb > 0) {
-    db_options.wal_preallocate_bytes =
-        static_cast<uint64_t>(flags.wal_prealloc_mb) << 20;
-    db_options.wal_recycle = true;
-  }
   std::string db_name = flags.db_path.empty() ? "/db" : flags.db_path;
   auto opened = lo::storage::DB::Open(db_options, db_name);
   if (!opened.ok()) {
@@ -217,9 +182,6 @@ int main(int argc, char** argv) {
   options.advertise_host = flags.advertise;
   options.report_interval_ms = flags.report_interval_ms;
   options.net_threads = static_cast<int>(flags.net_threads);
-  if (flags.gc_bytes > 0) {
-    options.group_commit.max_batch_bytes = static_cast<size_t>(flags.gc_bytes);
-  }
 
   // Multi-tenant QoS: outlives the node (handlers hold the pointer).
   lo::tenant::TenantRegistry::Options tenant_options;
