@@ -3,12 +3,15 @@
 // Eight writer threads issue Post-shaped batches (3 puts, 256 B values,
 // sync=true) against one DB and we climb the config ladder one mechanism
 // at a time:
-//   baseline   inline maintenance — flushes and compactions run on the
-//              writer's thread, under the DB mutex (what lambdastore-server
-//              runs)
-//   +bg        background maintenance thread (writers only swap memtables)
+//   baseline   inline maintenance: a DB opened without serialize_access,
+//              whose writers take a bench-owned mutex around each Write,
+//              so flushes and compactions run on the writer's thread under
+//              that mutex (what every binding ran before serialize_access
+//              brought the maintenance thread)
+//   +bg        serialize_access: the DB's own mutex and maintenance thread
+//              (writers only swap memtables; what lambdastore-server runs)
 //   +subcomp   parallel sub-compactions (4)
-//   shaped     background maintenance + 4 sub-compactions + deferred L0
+//   shaped     maintenance thread + 4 sub-compactions + deferred L0
 //              trigger (32) — the write-amplification lever
 // Every config writes one JSON line (the A8/A2b template):
 //   {"experiment":"A10","config":...,"threads":8,"throughput":...,
@@ -29,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,7 +48,9 @@ using namespace lo::storage;
 
 struct BenchConfig {
   const char* name;
-  bool background = false;
+  /// Options::serialize_access, and with it the maintenance thread. Off:
+  /// maintenance runs inline and the bench serializes the writers.
+  bool shared = false;
   int subcompactions = 1;
   // The ladder shrinks the buffer so the run is maintenance-bound (the
   // mechanisms under test are the bottleneck); the smoke guard keeps the
@@ -75,13 +81,13 @@ BenchResult RunConfig(const BenchConfig& config, int threads, int duration_ms,
   MemEnv env;
   Options options;
   options.env = &env;
-  options.serialize_access = true;
+  options.serialize_access = config.shared;
   options.write_buffer_size = config.write_buffer;
-  options.background_maintenance = config.background;
   options.subcompactions = config.subcompactions;
   options.l0_compaction_trigger = config.l0_trigger;
   auto db = std::move(*DB::Open(options, "/bench"));
 
+  std::mutex write_mu;  // the baseline's serialization
   std::atomic<bool> stop{false};
   std::vector<std::vector<uint64_t>> latencies(threads);
   std::vector<std::thread> writers;
@@ -108,7 +114,14 @@ BenchResult RunConfig(const BenchConfig& config, int threads, int duration_ms,
                       static_cast<unsigned long long>(user));
         batch.Put(key, "1");
         uint64_t begin = NowMicros();
-        if (!db->Write({.sync = true}, &batch).ok()) break;
+        Status s;
+        if (config.shared) {
+          s = db->Write({.sync = true}, &batch);
+        } else {
+          std::lock_guard<std::mutex> lock(write_mu);
+          s = db->Write({.sync = true}, &batch);
+        }
+        if (!s.ok()) break;
         lat.push_back(NowMicros() - begin);
         if (pace_us > 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
@@ -167,15 +180,15 @@ int main(int argc, char** argv) {
 
   const BenchConfig kBaseline = {.name = "baseline"};
   const BenchConfig kTuned = {.name = "+bg+subcomp",
-                              .background = true,
+                              .shared = true,
                               .subcompactions = 4};
-  // Stall-shaped config: background maintenance with a deferred L0
+  // Stall-shaped config: the maintenance thread with a deferred L0
   // trigger (32 files before the score reaches 1.0, soft slowdown at 64,
   // stop at 96). Deferring L0->L1 merges amortizes them over more input
   // and cuts write amplification roughly 3x at this write rate; this is
   // the config that carries the >=2x acceptance (docs/tuning.md).
   const BenchConfig kShaped = {.name = "shaped-trigger32",
-                               .background = true,
+                               .shared = true,
                                .subcompactions = 4,
                                .l0_trigger = 32};
 
@@ -185,7 +198,7 @@ int main(int argc, char** argv) {
     // default tuned config the engine must absorb it without pushing
     // back. Stall time above 10% of the write-side wall-clock budget
     // means maintenance fell behind a modest load — the shape of a
-    // stall-ladder or background-maintenance regression, not noise.
+    // stall-ladder or maintenance-thread regression, not noise.
     BenchResult tuned = RunConfig(kTuned, threads, /*duration_ms=*/1500,
                                   /*pace_us=*/1000);
     PrintJson(kTuned, threads, tuned);
@@ -206,7 +219,7 @@ int main(int argc, char** argv) {
 
   std::vector<BenchConfig> ladder = {
       kBaseline,
-      {.name = "+bg", .background = true},
+      {.name = "+bg", .shared = true},
       kTuned,
       kShaped,
   };

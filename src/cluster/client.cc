@@ -77,8 +77,7 @@ sim::Task<Result<std::string>> Client::CallWithRouting(const std::string& oid,
       failure = Status::Unavailable("no shard map");
     } else {
       auto result = co_await rpc_.Call(primary, service, payload,
-                                       options_.request_timeout, trace,
-                                       options_.tenant_id);
+                                       options_.request_timeout, trace);
       if (result.ok()) co_return result;
       failure = result.status();
       // Stale routing or mid-failover: refresh before the pause.
@@ -142,8 +141,7 @@ sim::Task<Result<std::string>> Client::InvokeRead(std::string oid,
     }
     if (target != 0) {
       auto reply = co_await rpc_.Call(target, "lambda.read", payload,
-                                      options_.request_timeout, trace,
-                                      options_.tenant_id);
+                                      options_.request_timeout, trace);
       if (reply.ok()) {
         metrics_.follower_reads++;
         FinishRootTrace(trace, started);

@@ -38,9 +38,6 @@ struct ClientOptions {
   replication::ReadMode read_mode = replication::ReadMode::kPrimaryOnly;
   /// Epoch slack a kBounded read tolerates (LO_STALENESS_EPOCHS).
   uint64_t staleness_epochs = 0;
-  /// Tenant id stamped on every request (0 = untenanted legacy traffic).
-  /// Servers running with a TenantRegistry gate admission and fuel on it.
-  uint32_t tenant_id = 0;
 };
 
 class Client {

@@ -89,8 +89,7 @@ Result<std::string> Client::Call(const std::string& oid, const char* service,
       failure = Status::WrongShard("no route for " + oid);
     } else {
       auto result = rpc_->CallSync(address, service, payload,
-                                   options_.request_timeout_us, trace,
-                                   options_.tenant_id);
+                                   options_.request_timeout_us, trace);
       if (result.ok()) {
         int64_t now_us = net::EventLoop::NowUs();
         if (obs::Tracing(options_.tracer, trace)) {

@@ -37,10 +37,6 @@ struct ClientOptions {
   int64_t retry_budget_us = 2'000'000;
   /// Seeds the backoff jitter.
   uint64_t seed = 7;
-  /// Tenant id stamped on every request (0 = untenanted legacy traffic).
-  /// Servers running with --tenants gate admission and fuel on it
-  /// (docs/tenancy.md).
-  uint32_t tenant_id = 0;
   /// Observability (nullptr = off). The tracer is touched from this
   /// client's calling thread — give concurrent Clients separate tracers
   /// or none.

@@ -605,6 +605,15 @@ std::string ServerNode::StatsText() {
   const auto& gc = node_->committer().stats();
   out += "gc_commits=" + std::to_string(gc.commits) + "\n";
   out += "gc_groups=" + std::to_string(gc.groups) + "\n";
+  // MiniLSM maintenance, which runs on the DB's own thread.
+  storage::DB::Stats db = db_->GetStats();
+  out += "db_flushes=" + std::to_string(db.flushes) + "\n";
+  out += "db_compactions=" + std::to_string(db.compactions) + "\n";
+  out += "db_compaction_bytes=" +
+         std::to_string(db.compaction_bytes_read + db.compaction_bytes_written) + "\n";
+  out += "db_stall_us=" + std::to_string(db.stall_us) + "\n";
+  out += "db_stall_soft=" + std::to_string(db.stall_soft) + "\n";
+  out += "db_stall_hard=" + std::to_string(db.stall_hard) + "\n";
   std::lock_guard<std::mutex> lock(stats_mu_);
   out += "invokes=" + std::to_string(metrics_.invokes) + "\n";
   out += "wrong_shard_rejects=" + std::to_string(metrics_.wrong_shard_rejects) + "\n";

@@ -1,5 +1,8 @@
 #include "storage/db.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 
@@ -60,10 +63,17 @@ class OwningTableIterator : public Iterator {
 };
 
 /// Concatenation over the sorted, non-overlapping files of one level >= 1.
+/// Holds every file's Table from construction on: NewIterator takes them
+/// under the DB mutex, so a compaction that unlinks the files before the
+/// iterator reaches them cannot fail it (an open Table keeps reading an
+/// unlinked file).
 class LevelIterator : public Iterator {
  public:
-  LevelIterator(TableCache* cache, std::vector<FileMetaData> files)
-      : cache_(cache), files_(std::move(files)) {}
+  struct File {
+    std::string largest;  // internal key
+    std::shared_ptr<Table> table;
+  };
+  explicit LevelIterator(std::vector<File> files) : files_(std::move(files)) {}
 
   bool Valid() const override { return current_ != nullptr && current_->Valid(); }
 
@@ -96,36 +106,27 @@ class LevelIterator : public Iterator {
   std::string_view key() const override { return current_->key(); }
   std::string_view value() const override { return current_->value(); }
   Status status() const override {
-    if (!status_.ok()) return status_;
     return current_ != nullptr ? current_->status() : Status::OK();
   }
 
  private:
   void OpenCurrent() {
     current_.reset();
-    if (index_ >= files_.size()) return;
-    auto table = cache_->Get(files_[index_].number);
-    if (!table.ok()) {
-      status_ = table.status();
-      return;
-    }
-    current_ = std::make_unique<OwningTableIterator>(std::move(table).value());
+    if (index_ < files_.size()) current_ = files_[index_].table->NewIterator();
   }
 
   void SkipExhausted() {
-    while (current_ != nullptr && !current_->Valid() && status_.ok()) {
+    while (current_ != nullptr && !current_->Valid() && current_->status().ok()) {
       index_++;
       OpenCurrent();
       if (current_ != nullptr) current_->SeekToFirst();
     }
   }
 
-  TableCache* cache_;
-  std::vector<FileMetaData> files_;
+  std::vector<File> files_;
   size_t index_ = 0;
   std::unique_ptr<Iterator> current_;
   InternalKeyComparator icmp_;
-  Status status_;
 };
 
 /// User-facing iterator: resolves versions and tombstones at a snapshot.
@@ -222,8 +223,6 @@ DB::~DB() {
 
 Result<std::unique_ptr<DB>> DB::Open(const Options& options, std::string name) {
   LO_CHECK_MSG(options.env != nullptr, "Options::env is required");
-  LO_CHECK_MSG(!options.background_maintenance || options.serialize_access,
-               "background_maintenance requires serialize_access");
   std::unique_ptr<DB> db(new DB(options, std::move(name)));
   LO_RETURN_IF_ERROR(db->Initialize());
   return db;
@@ -277,7 +276,7 @@ Status DB::Initialize() {
   edit.SetLogNumber(wal_number_);
   LO_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
   LO_RETURN_IF_ERROR(DeleteObsoleteFiles());
-  if (options_.background_maintenance) {
+  if (options_.serialize_access) {
     bg_thread_ = std::thread([this] { BackgroundLoop(); });
   }
   return Status::OK();
@@ -351,7 +350,7 @@ Status DB::NewWal() {
 
 Status DB::RotateWal() {
   if (mem_->entries() > 0) {
-    if (options_.background_maintenance) {
+    if (options_.serialize_access) {
       // The memtable holds exactly the acknowledged prefix; hand it to
       // the maintenance thread (its WAL — the torn one — stays until
       // that flush lands, and a crash before then replays its intact
@@ -360,7 +359,7 @@ Status DB::RotateWal() {
       bg_work_cv_.notify_one();
       return Status::OK();
     }
-    // Inline mode: flushing persists the acknowledged prefix and
+    // Inline maintenance: flushing persists the acknowledged prefix and
     // rotates to a fresh WAL.
     return FlushMemTable();
   }
@@ -400,15 +399,16 @@ Status DB::Write(const WriteOptions& opts, WriteBatch* batch) {
 }
 
 Status DB::StallIfNeeded(std::unique_lock<std::mutex>& guard) {
-  // Tier ladder (background mode only):
+  // Tier ladder (maintenance thread only):
   //   L0 < slowdown                  -> free flow
   //   slowdown <= L0 < stop          -> one delayed write (soft tier)
   //   L0 >= stop or imm backlog full -> block until maintenance catches up
   bool took_soft_delay = false;
   for (;;) {
-    if (!bg_error_.ok()) return bg_error_;
     int l0 = versions_->NumLevelFiles(0);
     if (l0 >= l0_stop_trigger_ || imm_.size() >= 2) {
+      // Maintenance failed, so waiting would not end: fail this write.
+      if (!bg_error_.ok()) return TakeBackgroundError();
       stats_.stall_hard++;
       uint64_t start = SteadyMicros();
       bg_work_cv_.notify_one();
@@ -452,7 +452,7 @@ Status DB::SwitchMemTable() {
 Status DB::WriteLocked(const WriteOptions& opts, WriteBatch* batch,
                        std::unique_lock<std::mutex>& guard) {
   if (batch->Count() == 0) return Status::OK();
-  if (options_.background_maintenance) {
+  if (options_.serialize_access) {
     LO_RETURN_IF_ERROR(StallIfNeeded(guard));
   }
   if (wal_failed_) {
@@ -480,7 +480,7 @@ Status DB::WriteLocked(const WriteOptions& opts, WriteBatch* batch,
   LO_RETURN_IF_ERROR(batch->InsertInto(base, mem_.get()));
   versions_->SetLastSequence(base + batch->Count() - 1);
   if (mem_->ApproximateMemoryUsage() > options_.write_buffer_size) {
-    if (options_.background_maintenance) {
+    if (options_.serialize_access) {
       // Hand the full memtable to the maintenance thread; the stall
       // tiers above bound how far writes can outrun it.
       LO_RETURN_IF_ERROR(SwitchMemTable());
@@ -563,9 +563,13 @@ std::unique_ptr<Iterator> DB::NewIterator(const ReadOptions& opts) {
     children.push_back(std::make_unique<OwningTableIterator>(std::move(table).value()));
   }
   for (int level = 1; level < kNumLevels; level++) {
-    if (versions_->NumLevelFiles(level) == 0) continue;
-    children.push_back(
-        std::make_unique<LevelIterator>(&table_cache_, versions_->files(level)));
+    std::vector<LevelIterator::File> files;
+    for (const auto& meta : versions_->files(level)) {
+      auto table = table_cache_.Get(meta.number);
+      if (!table.ok()) return NewEmptyIterator(table.status());
+      files.push_back({meta.largest, std::move(table).value()});
+    }
+    if (!files.empty()) children.push_back(std::make_unique<LevelIterator>(std::move(files)));
   }
   auto merged = NewMergingIterator(icmp_, std::move(children));
   return std::make_unique<DBIter>(std::move(merged), seq);
@@ -660,7 +664,22 @@ Status DB::FlushOldestImm(std::unique_lock<std::mutex>& lock) {
   return DeleteObsoleteFiles();
 }
 
+Status DB::TakeBackgroundError() {
+  Status s = std::move(bg_error_);
+  bg_error_ = Status::OK();
+  bg_work_cv_.notify_one();
+  return s;
+}
+
 void DB::BackgroundLoop() {
+  // SCHED_IDLE: maintenance runs only on CPU time no normal-priority
+  // thread wants, and a waking lane, reactor or committer preempts it at
+  // once. At normal priority a compaction now and then shares the lane's
+  // CPU, so request latency would depend on when compactions run.
+  // Writers that outrun a starved thread wait in the stall ladder, which
+  // frees the CPU it needs. Best effort: on failure it keeps its priority.
+  sched_param idle{};
+  (void)pthread_setschedparam(pthread_self(), SCHED_IDLE, &idle);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     bg_work_cv_.wait(lock, [this] {
@@ -905,7 +924,7 @@ Status DB::DeleteObsoleteFiles() {
 
 Status DB::CompactAll() {
   auto guard = Guard();
-  if (options_.background_maintenance) {
+  if (options_.serialize_access) {
     // Hand the memtable to the maintenance thread and wait until it has
     // drained every imm and every pending compaction; from then on this
     // thread is the sole maintenance executor (the bg thread has nothing
@@ -916,7 +935,7 @@ Status DB::CompactAll() {
       return !bg_error_.ok() ||
              (!bg_busy_ && imm_.empty() && !versions_->NeedsCompaction());
     });
-    LO_RETURN_IF_ERROR(bg_error_);
+    if (!bg_error_.ok()) return TakeBackgroundError();
   } else {
     LO_RETURN_IF_ERROR(FlushMemTable());
   }

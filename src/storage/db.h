@@ -1,18 +1,19 @@
 // MiniLSM public API — the persistence substrate of LambdaStore (the
 // paper uses LevelDB in this role).
 //
-// Single-threaded by default: each simulated storage node owns one DB and
-// the simulator serializes all access on a node. Flushes and compactions
-// run synchronously (deterministically) inside the write path. The
-// real-threaded execution path (runtime/executor.h + GroupCommitter)
-// instead opens the DB with Options::serialize_access, which guards every
-// public entry point with an internal mutex. It keeps inline maintenance:
-// lambdastore-server never sets Options::background_maintenance, so each
-// flush and compaction runs inside DB::Write on the group-commit thread,
-// holding the mutex every lane read also takes. Background maintenance
-// moves them onto a maintenance thread with soft-slowdown / hard-stop
-// write shaping (see docs/minilsm.md "The write path"); only tests and
-// bench/write_path turn it on.
+// Two modes, chosen by Options::serialize_access:
+//   - Off (every sim node): single-threaded. The simulator serializes all
+//     access on a node, and flushes and compactions run synchronously and
+//     deterministically inside the write that fills the memtable.
+//   - On (lambdastore-server, perfbench's embedded stack, every
+//     real-threaded test and bench): an internal mutex guards every public
+//     entry point so real threads (the execution lane, the group-commit
+//     thread) can share one DB, and flushes and compactions run on the
+//     DB's own maintenance thread, as LevelDB's do, at idle CPU priority
+//     (SCHED_IDLE) so they yield the CPU to every other thread. A commit
+//     only appends to the WAL and inserts into the memtable; it waits for
+//     maintenance only when the soft-slowdown / hard-stop ladder engages
+//     (see docs/minilsm.md "Maintenance: inline or background").
 #pragma once
 
 #include <condition_variable>
@@ -51,25 +52,22 @@ struct Options {
   /// If false, Open fails when the DB does not exist yet.
   bool create_if_missing = true;
   /// Guards every public DB entry point with an internal mutex so real
-  /// threads (execution lanes + the group-commit thread) can share one
-  /// DB. Off by default: simulated nodes are single-threaded and skip
-  /// the locking entirely.
+  /// threads (the execution lane + the group-commit thread) can share one
+  /// DB, and runs flushes and compactions on a maintenance thread instead
+  /// of inline in the write path. Off by default: simulated nodes are
+  /// single-threaded, skip the locking and keep maintenance inline and
+  /// deterministic.
   bool serialize_access = false;
   /// Max parallel sub-compactions per compaction: the input key range is
   /// partitioned into up to this many disjoint sub-ranges, each merged
   /// by its own worker, all feeding one VersionEdit. 1 = sequential.
   int subcompactions = 1;
-  /// Runs flushes and compactions on a dedicated maintenance thread
-  /// instead of inline in the write path; commits only block when the L0
-  /// stall tiers engage. Requires serialize_access (real threads). Off by
-  /// default: inline maintenance keeps simulated nodes deterministic.
-  bool background_maintenance = false;
   /// L0 file count where compaction starts. 0 = auto: 4 (each flush
   /// writes one L0 file).
   int l0_compaction_trigger = 0;
   /// L0 file count where writes start taking one soft-slowdown delay
   /// each, giving compaction room before the hard stop. 0 = auto (2x the
-  /// compaction trigger). Only meaningful with background_maintenance.
+  /// compaction trigger). Only meaningful with serialize_access.
   int l0_slowdown_trigger = 0;
   /// L0 file count where writes block until compaction catches up.
   /// 0 = auto (3x the compaction trigger).
@@ -170,7 +168,7 @@ class DB {
     uint64_t block_cache_bytes = 0;
     uint64_t table_cache_hits = 0;
     uint64_t table_cache_misses = 0;
-    // Write-path shaping (background_maintenance mode).
+    // Write-path shaping (serialize_access mode).
     uint64_t stall_soft = 0;      // writes that took a soft-slowdown delay
     uint64_t stall_hard = 0;      // writes that hit the hard L0/imm stop
     uint64_t stall_us = 0;        // total stalled microseconds
@@ -198,10 +196,15 @@ class DB {
   /// while a write waits for background maintenance.
   Status WriteLocked(const WriteOptions& opts, WriteBatch* batch,
                      std::unique_lock<std::mutex>& guard);
-  /// Applies the L0 stall tiers (background_maintenance only): one soft-
+  /// Applies the L0 stall tiers (serialize_access only): one soft-
   /// slowdown delay per write past the slowdown trigger, blocking wait
   /// past the stop trigger or when the imm backlog is full.
   Status StallIfNeeded(std::unique_lock<std::mutex>& guard);
+  /// Returns and clears bg_error_, waking the maintenance thread to retry
+  /// the unit that failed. A failure parks that thread until a stalled
+  /// write or CompactAll takes it, so a failing env fails writes instead
+  /// of blocking them, and a transient one heals on the next retry.
+  Status TakeBackgroundError();
 
   Status Initialize();
   Status RecoverWal();
@@ -212,10 +215,10 @@ class DB {
   /// the live WAL tail is well-formed.
   Status RotateWal();
   /// Moves the active memtable onto the imm queue (with the WAL that
-  /// covers it) and opens a fresh WAL. Background mode only.
+  /// covers it) and opens a fresh WAL. Maintenance-thread mode only.
   Status SwitchMemTable();
-  /// Builds one L0 table from `mem`. Called with the DB mutex held
-  /// (inline mode) or from the maintenance thread with it released;
+  /// Builds one L0 table from `mem`. Called inline (recovery, sim mode)
+  /// or from the maintenance thread with the mutex released;
   /// touches only thread-safe state (env, table builder, atomic file
   /// numbers).
   Status BuildL0File(const MemTable& mem, FileMetaData* meta);
@@ -273,13 +276,13 @@ class DB {
   // Effective (resolved) knobs.
   int l0_slowdown_trigger_ = 0;
   int l0_stop_trigger_ = 0;
-  // Background maintenance thread state (all guarded by mu_).
+  // Maintenance thread state (all guarded by mu_).
   std::thread bg_thread_;
   std::condition_variable bg_work_cv_;  // maintenance thread: work arrived
   std::condition_variable bg_done_cv_;  // writers/CompactAll: progress made
   bool bg_stop_ = false;
   bool bg_busy_ = false;  // maintenance thread is mid-unit (lock dropped)
-  Status bg_error_;       // first background failure; surfaces to writes
+  Status bg_error_;       // last failed unit, until TakeBackgroundError
   std::multiset<SequenceNumber> snapshots_;
   InternalKeyComparator icmp_;
   /// Trace context of the write currently being applied (empty outside

@@ -1,6 +1,12 @@
 #include "storage/env.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 
@@ -201,23 +207,35 @@ class PosixWritableFile : public WritableFile {
   std::FILE* f_;
 };
 
+/// Positional reads with pread(2) on a plain fd, as LevelDB's
+/// PosixRandomAccessFile does: no shared file offset, so any number of
+/// threads can read one table at once (a lane's Get beside a background
+/// compaction's merge), and a read costs one syscall.
 class PosixRandomAccessFile : public RandomAccessFile {
  public:
-  PosixRandomAccessFile(std::FILE* f, uint64_t size) : f_(f), size_(size) {}
-  ~PosixRandomAccessFile() override { std::fclose(f_); }
+  PosixRandomAccessFile(int fd, uint64_t size) : fd_(fd), size_(size) {}
+  ~PosixRandomAccessFile() override { ::close(fd_); }
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
     out->resize(n);
-    if (std::fseek(f_, static_cast<long>(offset), SEEK_SET) != 0) {
-      return Status::IOError("fseek failed");
+    size_t got = 0;
+    while (got < n) {
+      ssize_t r = ::pread(fd_, out->data() + got, n - got,
+                          static_cast<off_t>(offset + got));
+      if (r < 0 && errno == EINTR) continue;
+      if (r < 0) {
+        out->clear();
+        return Status::IOError(std::string("pread: ") + std::strerror(errno));
+      }
+      if (r == 0) break;  // EOF: short read
+      got += static_cast<size_t>(r);
     }
-    size_t got = std::fread(out->data(), 1, n, f_);
     out->resize(got);
     return Status::OK();
   }
   uint64_t Size() const override { return size_; }
 
  private:
-  std::FILE* f_;
+  int fd_;
   uint64_t size_;
 };
 
@@ -250,11 +268,15 @@ Result<std::unique_ptr<WritableFile>> PosixEnv::NewWritableFile(const std::strin
 }
 
 Result<std::unique_ptr<RandomAccessFile>> PosixEnv::NewRandomAccessFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound(path);
-  std::fseek(f, 0, SEEK_END);
-  auto size = static_cast<uint64_t>(std::ftell(f));
-  return std::unique_ptr<RandomAccessFile>(new PosixRandomAccessFile(f, size));
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound(path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IOError("fstat " + path);
+  }
+  return std::unique_ptr<RandomAccessFile>(
+      new PosixRandomAccessFile(fd, static_cast<uint64_t>(st.st_size)));
 }
 
 Result<std::unique_ptr<SequentialFile>> PosixEnv::NewSequentialFile(const std::string& path) {

@@ -3,7 +3,8 @@
 // Storage nodes in the simulated cluster run on MemEnv — an in-process
 // filesystem — so a whole cluster's disks live inside one deterministic
 // process; I/O *latency* is charged by the node model, not here.
-// PosixEnv is provided for examples/tools that want real files.
+// PosixEnv backs lambdastore-server's --db and the tools that want real
+// files.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,9 @@ class WritableFile {
   virtual Status Close() = 0;
 };
 
-/// Positional-read file handle (SSTables).
+/// Positional-read file handle (SSTables). Read is safe to call from
+/// several threads at once: a lane's Get and a background compaction
+/// read one table concurrently.
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
@@ -119,7 +122,7 @@ class MemEnv : public Env {
   std::unordered_map<std::string, std::shared_ptr<FileState>> files_;
 };
 
-/// Real-filesystem Env for tools and examples.
+/// Real-filesystem Env: lambdastore-server's --db, tools and examples.
 class PosixEnv : public Env {
  public:
   using Env::NewWritableFile;

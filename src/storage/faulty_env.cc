@@ -16,12 +16,13 @@ Status Crashed() { return Status::IOError("crashed"); }
 /// DropUnsyncedData() as usual.
 class FaultyWritableFile : public WritableFile {
  public:
-  FaultyWritableFile(FaultyEnv* env, std::unique_ptr<WritableFile> base)
-      : env_(env), base_(std::move(base)) {}
+  FaultyWritableFile(FaultyEnv* env, std::string path,
+                     std::unique_ptr<WritableFile> base)
+      : env_(env), path_(std::move(path)), base_(std::move(base)) {}
 
   Status Append(std::string_view data) override {
     size_t torn = 0;
-    if (!env_->ChargeAppend(data.size(), &torn)) {
+    if (!env_->ChargeAppend(path_, data.size(), &torn)) {
       if (torn > 0) {
         // A prefix of the write had already been flushed to the platter
         // when the lights went out (disks persist in page-sized units,
@@ -40,7 +41,7 @@ class FaultyWritableFile : public WritableFile {
     if (env_->SyncShouldFail()) {
       return Status::IOError("injected sync failure");
     }
-    if (!env_->ChargeWriteOp()) return Crashed();
+    if (!env_->ChargeWriteOp(path_)) return Crashed();
     return base_->Sync();
   }
 
@@ -48,17 +49,18 @@ class FaultyWritableFile : public WritableFile {
 
  private:
   FaultyEnv* env_;
+  std::string path_;
   std::unique_ptr<WritableFile> base_;
 };
 
 FaultyEnv::FaultyEnv(Env* base, uint64_t seed) : base_(base), rng_(seed) {}
 
-bool FaultyEnv::ChargeWriteOp() {
+bool FaultyEnv::ChargeWriteOp(const std::string& path) {
   std::lock_guard<std::mutex> lock(fault_mu_);
-  return ChargeWriteOpLocked();
+  return ChargeWriteOpLocked(path);
 }
 
-bool FaultyEnv::ChargeWriteOpLocked() {
+bool FaultyEnv::ChargeWriteOpLocked(const std::string& path) {
   write_ops_++;
   if (crashed_) {
     stats_.failed_ops_while_crashed++;
@@ -66,16 +68,17 @@ bool FaultyEnv::ChargeWriteOpLocked() {
   }
   if (countdown_ > 0 && --countdown_ == 0) {
     crashed_ = true;
+    crash_path_ = path;
     stats_.injected_crashes++;
     return false;
   }
   return true;
 }
 
-bool FaultyEnv::ChargeAppend(size_t data_size, size_t* torn) {
+bool FaultyEnv::ChargeAppend(const std::string& path, size_t data_size, size_t* torn) {
   std::lock_guard<std::mutex> lock(fault_mu_);
   *torn = 0;
-  if (ChargeWriteOpLocked()) return true;
+  if (ChargeWriteOpLocked(path)) return true;
   *torn = static_cast<size_t>(rng_.Uniform(data_size + 1));
   if (*torn > 0) stats_.torn_appends++;
   return false;
@@ -102,10 +105,10 @@ void FaultyEnv::Revive() {
 
 Result<std::unique_ptr<WritableFile>> FaultyEnv::NewWritableFile(
     const std::string& path) {
-  if (!ChargeWriteOp()) return Crashed();
+  if (!ChargeWriteOp(path)) return Crashed();
   LO_ASSIGN_OR_RETURN(auto file, base_->NewWritableFile(path));
   return std::unique_ptr<WritableFile>(
-      new FaultyWritableFile(this, std::move(file)));
+      new FaultyWritableFile(this, path, std::move(file)));
 }
 
 Result<std::unique_ptr<RandomAccessFile>> FaultyEnv::NewRandomAccessFile(
@@ -127,12 +130,12 @@ Result<uint64_t> FaultyEnv::FileSize(const std::string& path) {
 }
 
 Status FaultyEnv::DeleteFile(const std::string& path) {
-  if (!ChargeWriteOp()) return Crashed();
+  if (!ChargeWriteOp(path)) return Crashed();
   return base_->DeleteFile(path);
 }
 
 Status FaultyEnv::RenameFile(const std::string& from, const std::string& to) {
-  if (!ChargeWriteOp()) return Crashed();
+  if (!ChargeWriteOp(to)) return Crashed();
   return base_->RenameFile(from, to);
 }
 

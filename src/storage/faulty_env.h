@@ -61,6 +61,13 @@ class FaultyEnv : public Env {
     std::lock_guard<std::mutex> lock(fault_mu_);
     return crashed_;
   }
+  /// The file whose op crashed the env (empty until a crash), so a sweep
+  /// can tell a crash in a WAL append from one in a table or manifest
+  /// write.
+  std::string crash_path() const {
+    std::lock_guard<std::mutex> lock(fault_mu_);
+    return crash_path_;
+  }
 
   /// Forces every Sync() to fail with IOError until cleared. The data is
   /// still buffered (no crash) — models fsync returning EIO.
@@ -89,14 +96,14 @@ class FaultyEnv : public Env {
 
  private:
   friend class FaultyWritableFile;
-  /// Charges one write-side op; returns false if this op must fail
-  /// (countdown hit zero or already crashed).
-  bool ChargeWriteOp();
-  bool ChargeWriteOpLocked();
+  /// Charges one write-side op on `path`; returns false if this op must
+  /// fail (countdown hit zero or already crashed).
+  bool ChargeWriteOp(const std::string& path);
+  bool ChargeWriteOpLocked(const std::string& path);
   /// Append variant: on failure also draws the seeded torn-prefix length
   /// into *torn under the same lock (concurrent appenders stay seeded
   /// deterministically with respect to op order).
-  bool ChargeAppend(size_t data_size, size_t* torn);
+  bool ChargeAppend(const std::string& path, size_t data_size, size_t* torn);
   bool SyncShouldFail();
 
   Env* base_;
@@ -108,6 +115,7 @@ class FaultyEnv : public Env {
   bool crashed_ = false;    // guarded by fault_mu_
   bool fail_syncs_ = false; // guarded by fault_mu_
   uint64_t write_ops_ = 0;  // guarded by fault_mu_
+  std::string crash_path_;  // guarded by fault_mu_
   Stats stats_;             // guarded by fault_mu_
 };
 

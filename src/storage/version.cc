@@ -150,22 +150,32 @@ VersionSet::VersionSet(Env* env, std::string dbname, TableCache* table_cache)
 
 void VersionSet::Apply(const VersionEdit& edit) {
   if (edit.log_number()) log_number_ = *edit.log_number();
-  if (edit.next_file_number()) next_file_number_ = *edit.next_file_number();
+  // Never rewind: the maintenance thread mints numbers off-mutex, so one
+  // may have gone out after LogAndApply stamped this edit.
+  if (edit.next_file_number()) EnsureFileNumberAbove(*edit.next_file_number() - 1);
   if (edit.last_sequence()) last_sequence_ = *edit.last_sequence();
   for (const auto& [level, number] : edit.deleted_files()) {
     auto& files = files_[level];
     std::erase_if(files, [n = number](const FileMetaData& f) { return f.number == n; });
   }
+  bool grew[kNumLevels] = {};
   for (const auto& [level, meta] : edit.new_files()) {
     LO_CHECK(level >= 0 && level < kNumLevels);
     files_[level].push_back(meta);
+    grew[level] = true;
   }
-  // L0 newest-first (file number descending); deeper levels by key.
-  std::sort(files_[0].begin(), files_[0].end(),
-            [](const FileMetaData& a, const FileMetaData& b) {
-              return a.number > b.number;
-            });
+  // L0 newest-first (file number descending); deeper levels by key. Only
+  // levels that gained a file are re-sorted: std::sort moves elements even
+  // of sorted input, and a compaction's merge reads the deeper levels off
+  // the mutex while a commit may log a WAL rotation.
+  if (grew[0]) {
+    std::sort(files_[0].begin(), files_[0].end(),
+              [](const FileMetaData& a, const FileMetaData& b) {
+                return a.number > b.number;
+              });
+  }
   for (int level = 1; level < kNumLevels; level++) {
+    if (!grew[level]) continue;
     std::sort(files_[level].begin(), files_[level].end(),
               [this](const FileMetaData& a, const FileMetaData& b) {
                 return icmp_.Compare(a.smallest, b.smallest) < 0;

@@ -1,8 +1,9 @@
 // Version management: which SSTables exist at which level, persisted as a
-// log of VersionEdits in the MANIFEST. Single-threaded (the simulator
-// serializes everything on a node), so there is one live version; open
-// iterators stay valid because Tables and MemEnv file contents are
-// shared_ptr-owned.
+// log of VersionEdits in the MANIFEST. There is one live version, changed
+// only under the DB's mutex (or by the single-threaded sim DB); open
+// iterators stay valid because DB::NewIterator takes every Table they may
+// read (shared_ptr-owned), and an open Table keeps reading its file after
+// a compaction unlinks it.
 #pragma once
 
 #include <atomic>

@@ -513,6 +513,39 @@ TEST(ClusterdServer, TenantAdmissionShedsAndReleasesEachSlotOnce) {
   }
 }
 
+TEST(ClusterdServer, StatsReportDbMaintenance) {
+  // admin.stats carries MiniLSM's maintenance counters. Posts that fill
+  // the 1 MiB memtable make the DB's maintenance thread flush it.
+  Proc server = SpawnDaemon(ServerBinary(), {});
+  net::RpcClient rpc;
+  auto stats = [&] {
+    auto reply = rpc.CallSync(server.address(), "admin.stats", "", 2'000'000);
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? *reply : std::string();
+  };
+  const std::string before = stats();
+  for (const char* key : {"db_flushes", "db_compactions", "db_compaction_bytes",
+                          "db_stall_us", "db_stall_soft", "db_stall_hard"}) {
+    EXPECT_NE(before.find(std::string("\n") + key + "="), std::string::npos)
+        << key << " missing from:\n" << before;
+  }
+  auto client = Client::Standalone(&rpc, server.address());
+  ASSERT_TRUE(client.Create("user/1", "user").ok());
+  const std::string message(3 << 10, 'm');  // store_post takes <= 4 KiB
+  for (int i = 0; i < 1000; i++) {
+    ASSERT_TRUE(
+        client.Invoke("user/1", "store_post", PostBlob("a", i, message)).ok());
+  }
+  // The flush lands on the maintenance thread, after the commit that
+  // filled the memtable returned.
+  uint64_t flushes = 0;
+  for (int i = 0; i < 100 && flushes <= StatsField(before, "db_flushes"); i++) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    flushes = StatsField(stats(), "db_flushes");
+  }
+  EXPECT_GT(flushes, StatsField(before, "db_flushes"));
+}
+
 TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {
   char db_template[] = "/tmp/clusterd_drain_XXXXXX";
   ASSERT_NE(mkdtemp(db_template), nullptr);

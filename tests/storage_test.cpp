@@ -3,8 +3,13 @@
 // randomized model check against std::map with crash/reopen injection.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -135,6 +140,53 @@ TEST(PosixEnvTest, WholeDbOnRealFilesystem) {
   auto got = (*db)->Get({}, "persist");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, "on-disk");
+}
+
+TEST(PosixEnvTest, RandomAccessReadsAreThreadSafe) {
+  // Eight threads read random windows of one file through one handle,
+  // as a lane's Get and a background compaction read one table. A shared
+  // file offset (seek, then read) hands threads each other's bytes.
+  PosixEnv env;
+  std::string dir = ::testing::TempDir() + "lo_posix_pread_" + std::to_string(::getpid());
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  std::string path = dir + "/patterned";
+  constexpr size_t kFileBytes = 1 << 20;
+  constexpr size_t kWindow = 4096;
+  std::string data;
+  for (uint64_t i = 0; data.size() < kFileBytes; i++) PutFixed64(&data, i * 0x9E3779B97F4A7C15ull);
+  ASSERT_TRUE(env.WriteStringToFile(path, data, /*sync=*/true).ok());
+  auto opened = env.NewRandomAccessFile(path);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<RandomAccessFile> file = std::move(*opened);
+  ASSERT_EQ(file->Size(), kFileBytes);
+
+  constexpr int kThreads = 8;
+  constexpr int kReadsPerThread = 20000;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; t++) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + static_cast<uint64_t>(t));
+      std::string out;
+      for (int i = 0; i < kReadsPerThread; i++) {
+        uint64_t offset = rng.Uniform(kFileBytes - kWindow + 1);
+        Status s = file->Read(offset, kWindow, &out);
+        if (!s.ok() || std::string_view(out) != std::string_view(data).substr(offset, kWindow)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(wrong.load(), 0) << "of " << kThreads * kReadsPerThread << " windows";
+  // A read past the end is short, not an error.
+  std::string tail;
+  ASSERT_TRUE(file->Read(kFileBytes - 10, kWindow, &tail).ok());
+  EXPECT_EQ(tail, data.substr(kFileBytes - 10));
+  file.reset();
+  EXPECT_TRUE(env.DeleteFile(path).ok());
+  std::error_code ec;
+  std::filesystem::remove(dir, ec);
 }
 
 // ------------------------------------------------------------------- WAL
@@ -566,6 +618,7 @@ class DBTest : public ::testing::Test {
     Options options;
     options.env = &env_;
     options.write_buffer_size = write_buffer_size_;
+    options.serialize_access = serialize_access_;
     auto db = DB::Open(options, "/db");
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(*db);
@@ -584,6 +637,7 @@ class DBTest : public ::testing::Test {
 
   MemEnv env_;
   size_t write_buffer_size_ = 1 << 20;
+  bool serialize_access_ = false;
   std::unique_ptr<DB> db_;
 };
 
@@ -747,6 +801,35 @@ TEST_F(DBTest, IteratorMergesMemtableAndTables) {
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(iter->key(), "dup");
   EXPECT_EQ(iter->value(), "newest");
+}
+
+TEST_F(DBTest, IteratorOutlivesCompactionOfItsFiles) {
+  // NewIterator takes every table it may read; a compaction that unlinks
+  // them afterwards must not fail the scan, whether it runs inline or on
+  // the maintenance thread.
+  constexpr int kKeys = 4000;
+  auto key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "serialize_access" : "single-threaded");
+    serialize_access_ = shared;
+    Reopen();
+    for (int i = 0; i < kKeys; i++) ASSERT_TRUE(db_->Put({}, key(i), "old" + std::to_string(i)).ok());
+    ASSERT_TRUE(db_->CompactAll().ok());
+    for (int i = 0; i < kKeys; i += 2) ASSERT_TRUE(db_->Put({}, key(i), "new" + std::to_string(i)).ok());
+    auto iter = db_->NewIterator({});
+    ASSERT_TRUE(db_->CompactAll().ok());
+    int seen = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next(), seen++) {
+      ASSERT_EQ(iter->key(), key(seen));
+      EXPECT_EQ(iter->value(), (seen % 2 == 0 ? "new" : "old") + std::to_string(seen));
+    }
+    EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+    EXPECT_EQ(seen, kKeys);
+  }
 }
 
 TEST_F(DBTest, CreateIfMissingFalseFailsOnFreshDir) {
@@ -1790,10 +1873,121 @@ TEST(Subcompaction, CrashMidCompactionRecoversCleanly) {
   }
 }
 
+// ------------------------------------------------- Maintenance thread
+
+TEST(MaintenanceThread, CrashSweepLosesNoAckedCommit) {
+  // A serialize_access DB flushes and compacts on its own thread while
+  // commits flow through the group committer. Sweep the crash point over
+  // the run: wherever it lands (a WAL append, or a table or manifest
+  // write of a background flush or compaction), every acked commit
+  // survives the power cut and the reopened DB takes writes again.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 150;
+  const std::string value(100, 'v');
+  struct Run {
+    std::vector<std::set<std::string>> acked;
+    DB::Stats stats;  // when the writers stopped (after any crash)
+    uint64_t ops = 0;  // write ops from the first commit on
+    bool crashed = false;
+    std::string crash_path;
+  };
+  auto run = [&](MemEnv* base, FaultyEnv* faulty, const Options& options,
+                 uint64_t crash_after) {
+    Run out;
+    out.acked.resize(kThreads);
+    auto db = std::move(*DB::Open(options, "/db"));
+    {
+      GroupCommitter committer(db.get());
+      faulty->CrashAfterWriteOps(crash_after);
+      uint64_t ops_before = faulty->write_ops();
+      std::vector<std::thread> writers;
+      for (int t = 0; t < kThreads; t++) {
+        writers.emplace_back([&, t] {
+          for (int i = 0; i < kPerThread; i++) {
+            WriteBatch batch;
+            std::string key = "t" + std::to_string(t) + "/k" + std::to_string(i);
+            batch.Put(key, value);
+            if (committer.Commit(std::move(batch)).ok()) out.acked[t].insert(key);
+          }
+        });
+      }
+      for (auto& w : writers) w.join();
+      out.ops = faulty->write_ops() - ops_before;
+    }
+    out.stats = db->GetStats();
+    out.crashed = faulty->crashed();
+    out.crash_path = faulty->crash_path();
+    db.reset();
+    base->DropUnsyncedData();
+    faulty->Revive();
+    return out;
+  };
+
+  Options options;
+  options.serialize_access = true;
+  options.write_buffer_size = 4 << 10;
+
+  // Fault-free pass: size the sweep, and check maintenance really runs.
+  uint64_t total_ops = 0;
+  {
+    MemEnv base;
+    FaultyEnv faulty(&base, 1);
+    options.env = &faulty;
+    Run clean = run(&base, &faulty, options, 0);
+    total_ops = clean.ops;
+    ASSERT_GT(clean.stats.flushes, 5u);
+    ASSERT_GT(clean.stats.compactions, 0u);
+  }
+  ASSERT_GT(total_ops, 200u);
+
+  int wal_crashes = 0, table_crashes = 0, manifest_crashes = 0;
+  uint64_t max_flushes_at_crash = 0, max_compactions_at_crash = 0;
+  for (uint64_t k = 3; k < total_ops * 9 / 10; k += total_ops / 40) {
+    MemEnv base;
+    FaultyEnv faulty(&base, 500 + k);
+    options.env = &faulty;
+    Run crashed = run(&base, &faulty, options, k);
+    if (crashed.crashed) {
+      const std::string& path = crashed.crash_path;
+      if (path.ends_with(".log")) wal_crashes++;
+      if (path.ends_with(".ldb")) table_crashes++;
+      if (path.find("MANIFEST") != std::string::npos) manifest_crashes++;
+      max_flushes_at_crash = std::max(max_flushes_at_crash, crashed.stats.flushes);
+      max_compactions_at_crash = std::max(max_compactions_at_crash, crashed.stats.compactions);
+    }
+
+    auto reopened = DB::Open(options, "/db");
+    ASSERT_TRUE(reopened.ok()) << "crash after " << k << " ops in " << crashed.crash_path
+                               << ": " << reopened.status().ToString();
+    auto db = std::move(*reopened);
+    for (const auto& keys : crashed.acked) {
+      for (const std::string& key : keys) {
+        auto got = db->Get({}, key);
+        ASSERT_TRUE(got.ok()) << "crash after " << k << " ops in " << crashed.crash_path
+                              << " lost acked " << key;
+        EXPECT_EQ(*got, value);
+      }
+    }
+    GroupCommitter committer(db.get());
+    WriteBatch batch;
+    batch.Put("after-crash", "ok");
+    ASSERT_TRUE(committer.Commit(std::move(batch)).ok()) << "crash after " << k;
+    EXPECT_EQ(*db->Get({}, "after-crash"), "ok");
+  }
+  // The sweep reached every writer of the run, not only the commit path:
+  // table and manifest files are written only by background flushes and
+  // compactions once the DB is open.
+  EXPECT_GT(wal_crashes, 0);
+  EXPECT_GT(table_crashes, 0);
+  EXPECT_GT(manifest_crashes, 0);
+  EXPECT_GT(max_flushes_at_crash, 0u);
+  EXPECT_GT(max_compactions_at_crash, 0u);
+}
+
 // ------------------------------------------------- Stall shaping
 
 TEST(StallShaping, SoftSlowdownEngagesBeforeHardStop) {
-  // Background maintenance with compaction deferred far out (trigger
+  // The maintenance thread with compaction deferred far out (trigger
   // 100): flushes pile L0 past the slowdown line, so writes take the
   // one-per-write soft delay; the stop line stays unreachable, so the
   // hard tier never engages. The obs counters are the assertion surface.
@@ -1801,7 +1995,6 @@ TEST(StallShaping, SoftSlowdownEngagesBeforeHardStop) {
   Options options;
   options.env = &env;
   options.serialize_access = true;
-  options.background_maintenance = true;
   options.write_buffer_size = 8 << 10;
   options.l0_compaction_trigger = 100;
   options.l0_slowdown_trigger = 4;
@@ -1841,7 +2034,6 @@ TEST(StallShaping, HardStopBoundsImmBacklogAndRecovers) {
   Options options;
   options.env = &env;
   options.serialize_access = true;
-  options.background_maintenance = true;
   options.write_buffer_size = 2 << 10;
   options.slowdown_delay_us = 10;
   auto db = std::move(*DB::Open(options, "/db"));
@@ -1857,13 +2049,12 @@ TEST(StallShaping, HardStopBoundsImmBacklogAndRecovers) {
 }
 
 TEST(StallShaping, ConcurrentWritersWithFullParallelStack) {
-  // The TSan target: sub-compactions + background maintenance under
-  // real concurrent writers.
+  // The TSan target: sub-compactions + the maintenance thread under real
+  // concurrent writers.
   MemEnv env;
   Options options;
   options.env = &env;
   options.serialize_access = true;
-  options.background_maintenance = true;
   options.subcompactions = 4;
   options.write_buffer_size = 16 << 10;
   options.slowdown_delay_us = 10;

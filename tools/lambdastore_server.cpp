@@ -23,7 +23,8 @@
 //   --coordinator=IP:PORT  join the cluster at this coordinator
 //   --advertise=HOST host peers/clients dial (default 127.0.0.1)
 //   --report-interval-ms=N  load-report/heartbeat cadence (default 200)
-//   --seed-users=N   pre-seed a ReTwis social graph with N users
+//   --seed-users=N   pre-seed a ReTwis social graph with N users (on a
+//                    single-threaded DB, which is then reopened to serve)
 //   --seed-posts=N   initial posts per user for the seeded graph
 //   --block-cache-mb=N  SSTable block cache size (0 = off; default 8 MiB)
 //   --seed=N         workload generator seed (default 42)
@@ -146,35 +147,47 @@ int main(int argc, char** argv) {
   db_options.env = flags.db_path.empty()
                        ? static_cast<lo::storage::Env*>(&mem_env)
                        : static_cast<lo::storage::Env*>(&posix_env);
-  db_options.serialize_access = true;  // lane + committer share the DB
   if (flags.block_cache_mb >= 0) {
     db_options.block_cache_bytes = static_cast<size_t>(flags.block_cache_mb)
                                    << 20;
   }
   std::string db_name = flags.db_path.empty() ? "/db" : flags.db_path;
-  auto opened = lo::storage::DB::Open(db_options, db_name);
-  if (!opened.ok()) {
-    fprintf(stderr, "DB::Open(%s): %s\n", db_name.c_str(),
-            opened.status().ToString().c_str());
-    return 1;
-  }
-  std::unique_ptr<lo::storage::DB> db = std::move(*opened);
+  auto open_db = [&](bool shared) -> std::unique_ptr<lo::storage::DB> {
+    db_options.serialize_access = shared;
+    auto opened = lo::storage::DB::Open(db_options, db_name);
+    if (!opened.ok()) {
+      fprintf(stderr, "DB::Open(%s): %s\n", db_name.c_str(),
+              opened.status().ToString().c_str());
+      return nullptr;
+    }
+    return std::move(*opened);
+  };
 
-  lo::runtime::TypeRegistry types;
-  LO_CHECK(lo::retwis::RegisterUserType(&types, /*use_vm=*/true).ok());
-
+  // Seed, then serve. The seeding DB is single-threaded, so its flushes
+  // and compactions run inline; seeding beside the maintenance thread
+  // queues memtables behind it and leaves their heap resident for the
+  // whole run.
   if (flags.seed_users > 0) {
+    std::unique_ptr<lo::storage::DB> seeding = open_db(/*shared=*/false);
+    if (seeding == nullptr) return 1;
     lo::retwis::WorkloadConfig config;
     config.num_users = flags.seed_users;
     config.initial_posts_per_user = flags.seed_posts;
     config.seed = flags.seed;
     lo::retwis::Workload workload(config);
-    lo::Status seeded = workload.SeedDb(db.get());
+    lo::Status seeded = workload.SeedDb(seeding.get());
     if (!seeded.ok()) {
       fprintf(stderr, "SeedDb: %s\n", seeded.ToString().c_str());
       return 1;
     }
   }
+  // The lane and the group-commit thread share the DB, which then runs its
+  // flushes and compactions on its own maintenance thread.
+  std::unique_ptr<lo::storage::DB> db = open_db(/*shared=*/true);
+  if (db == nullptr) return 1;
+
+  lo::runtime::TypeRegistry types;
+  LO_CHECK(lo::retwis::RegisterUserType(&types, /*use_vm=*/true).ok());
 
   lo::clusterd::ServerNodeOptions options;
   options.port = flags.port;
