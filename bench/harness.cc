@@ -67,26 +67,9 @@ void ObsHooks::Dump(const std::string& label) {
 
 void ApplyParallelismKnobs(const ExperimentConfig& config,
                            cluster::StorageNodeOptions* node) {
-  auto int_env = [](const char* name, int64_t fallback) {
-    const char* v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' ? std::strtoll(v, nullptr, 10) : fallback;
-  };
-  int64_t lanes = int_env("LO_LANES", -1);
-  if (lanes > 0) node->runtime.lanes = static_cast<size_t>(lanes);
-  int64_t gc_bytes = int_env("LO_GC_BYTES", -1);
-  if (gc_bytes > 0) node->gc_max_batch_bytes = static_cast<size_t>(gc_bytes);
-  int64_t cache_mb = int_env("LO_BLOCK_CACHE_MB", -1);
-  if (cache_mb >= 0) {
-    node->db_block_cache_bytes = static_cast<size_t>(cache_mb) << 20;
-  }
-  // Explicit experiment config overrides env (ablation sweeps).
   if (config.lanes > 0) node->runtime.lanes = config.lanes;
   if (config.gc_max_batch_bytes > 0) {
     node->gc_max_batch_bytes = config.gc_max_batch_bytes;
-  }
-  if (config.block_cache_mb >= 0) {
-    node->db_block_cache_bytes = static_cast<size_t>(config.block_cache_mb)
-                                 << 20;
   }
 }
 

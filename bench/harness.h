@@ -38,18 +38,14 @@ struct ExperimentConfig {
   /// paper's early prototype numbers.
   bool result_cache = false;
   bool quick = false;  // shrunk parameters for smoke runs
-  /// Parallelism knobs (0 / -1 = keep the node defaults). Set explicitly
-  /// by ablation sweeps; every bench also honors the LO_LANES /
-  /// LO_GC_BYTES / LO_BLOCK_CACHE_MB env vars (explicit config wins).
-  /// See docs/tuning.md for the full table.
+  /// Parallelism knobs (0 = keep the node defaults), set by ablation
+  /// sweeps. See docs/tuning.md for the full table.
   size_t lanes = 0;                  // lanes per sim node (real server: 1)
   size_t gc_max_batch_bytes = 0;     // WAL group-commit size bound
-  int64_t block_cache_mb = -1;       // SSTable block cache (0 = off)
 };
 
-/// Resolves the parallelism knobs (env, then explicit config) onto a
-/// node's options. Both system constructors call this, so benches pick
-/// the knobs up automatically.
+/// Applies the parallelism knobs onto a node's options. Both system
+/// constructors call this, so benches pick the knobs up automatically.
 void ApplyParallelismKnobs(const ExperimentConfig& config,
                            cluster::StorageNodeOptions* node);
 

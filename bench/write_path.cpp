@@ -10,19 +10,17 @@
 //              brought the maintenance thread)
 //   +bg        serialize_access: the DB's own mutex and maintenance thread
 //              (writers only swap memtables; what lambdastore-server runs)
-//   +subcomp   parallel sub-compactions (4)
-//   shaped     maintenance thread + 4 sub-compactions + deferred L0
-//              trigger (32) — the write-amplification lever
+//   shaped     maintenance thread + deferred L0 trigger (32) — the
+//              write-amplification lever
 // Every config writes one JSON line (the A8/A2b template):
 //   {"experiment":"A10","config":...,"threads":8,"throughput":...,
 //    "p50_us":...,"p99_us":...,"stall_us":...,"stall_soft":...,
-//    "stall_hard":...,"compaction_bytes":...,"subcompactions_run":...,
-//    "flushes":...}
+//    "stall_hard":...,"compaction_bytes":...,"flushes":...}
 // and a final summary line records the speedup of the best config over
 // baseline (acceptance: >= 2x at equal durability — sync=true both).
 //
-// --smoke: a bounded, paced run of the +bg+subcomp config; fails if it
-// spends more than a tenth of its write-side wall-clock stalled (the
+// --smoke: a bounded, paced run of the +bg config; fails if it spends
+// more than a tenth of its write-side wall-clock stalled (the
 // stall-shaping regression guard in the default ctest).
 // LO_BENCH_QUICK=1 shrinks the measured window.
 #include <algorithm>
@@ -51,11 +49,6 @@ struct BenchConfig {
   /// Options::serialize_access, and with it the maintenance thread. Off:
   /// maintenance runs inline and the bench serializes the writers.
   bool shared = false;
-  int subcompactions = 1;
-  // The ladder shrinks the buffer so the run is maintenance-bound (the
-  // mechanisms under test are the bottleneck); the smoke guard keeps the
-  // engine's default so it measures shaping, not saturation.
-  size_t write_buffer = 1 << 20;
   int l0_trigger = 0;  // 0 = auto (4)
 };
 
@@ -82,8 +75,6 @@ BenchResult RunConfig(const BenchConfig& config, int threads, int duration_ms,
   Options options;
   options.env = &env;
   options.serialize_access = config.shared;
-  options.write_buffer_size = config.write_buffer;
-  options.subcompactions = config.subcompactions;
   options.l0_compaction_trigger = config.l0_trigger;
   auto db = std::move(*DB::Open(options, "/bench"));
 
@@ -154,8 +145,7 @@ void PrintJson(const BenchConfig& config, int threads, const BenchResult& r) {
       "{\"experiment\":\"A10\",\"config\":\"%s\",\"threads\":%d,"
       "\"throughput\":%.0f,\"p50_us\":%llu,\"p99_us\":%llu,"
       "\"stall_us\":%llu,\"stall_soft\":%llu,\"stall_hard\":%llu,"
-      "\"compaction_bytes\":%llu,\"subcompactions_run\":%llu,"
-      "\"flushes\":%llu}\n",
+      "\"compaction_bytes\":%llu,\"flushes\":%llu}\n",
       config.name, threads, r.throughput,
       static_cast<unsigned long long>(r.p50_us),
       static_cast<unsigned long long>(r.p99_us),
@@ -164,7 +154,6 @@ void PrintJson(const BenchConfig& config, int threads, const BenchResult& r) {
       static_cast<unsigned long long>(r.stats.stall_hard),
       static_cast<unsigned long long>(r.stats.compaction_bytes_read +
                                       r.stats.compaction_bytes_written),
-      static_cast<unsigned long long>(r.stats.subcompactions_run),
       static_cast<unsigned long long>(r.stats.flushes));
   std::fflush(stdout);
 }
@@ -179,9 +168,7 @@ int main(int argc, char** argv) {
   int duration_ms = quick ? 400 : 2000;
 
   const BenchConfig kBaseline = {.name = "baseline"};
-  const BenchConfig kTuned = {.name = "+bg+subcomp",
-                              .shared = true,
-                              .subcompactions = 4};
+  const BenchConfig kBg = {.name = "+bg", .shared = true};
   // Stall-shaped config: the maintenance thread with a deferred L0
   // trigger (32 files before the score reaches 1.0, soft slowdown at 64,
   // stop at 96). Deferring L0->L1 merges amortizes them over more input
@@ -189,60 +176,47 @@ int main(int argc, char** argv) {
   // the config that carries the >=2x acceptance (docs/tuning.md).
   const BenchConfig kShaped = {.name = "shaped-trigger32",
                                .shared = true,
-                               .subcompactions = 4,
                                .l0_trigger = 32};
 
   if (smoke) {
     // Bounded regression guard. Writers offer a paced load well below
-    // engine capacity (~2k batches/sec vs ~70k at saturation); at the
-    // default tuned config the engine must absorb it without pushing
+    // engine capacity (~7k batches/sec vs ~40k at +bg's saturation); the
+    // maintenance thread must absorb it without pushing
     // back. Stall time above 10% of the write-side wall-clock budget
     // means maintenance fell behind a modest load — the shape of a
     // stall-ladder or maintenance-thread regression, not noise.
-    BenchResult tuned = RunConfig(kTuned, threads, /*duration_ms=*/1500,
-                                  /*pace_us=*/1000);
-    PrintJson(kTuned, threads, tuned);
-    uint64_t budget_us = tuned.elapsed_us * static_cast<uint64_t>(threads);
-    if (tuned.stats.stall_us > budget_us / 10) {
+    BenchResult bg = RunConfig(kBg, threads, /*duration_ms=*/1500,
+                               /*pace_us=*/1000);
+    PrintJson(kBg, threads, bg);
+    uint64_t budget_us = bg.elapsed_us * static_cast<uint64_t>(threads);
+    if (bg.stats.stall_us > budget_us / 10) {
       std::fprintf(stderr,
                    "FAIL: stalled %llu us of %llu us write-side budget\n",
-                   static_cast<unsigned long long>(tuned.stats.stall_us),
+                   static_cast<unsigned long long>(bg.stats.stall_us),
                    static_cast<unsigned long long>(budget_us));
       return 1;
     }
-    if (tuned.throughput <= 0) {
+    if (bg.throughput <= 0) {
       std::fprintf(stderr, "FAIL: no batches committed\n");
       return 1;
     }
     return 0;
   }
 
-  std::vector<BenchConfig> ladder = {
-      kBaseline,
-      {.name = "+bg", .shared = true},
-      kTuned,
-      kShaped,
-  };
-  double baseline_tput = 0, tuned_tput = 0, shaped_tput = 0;
-  for (const auto& config : ladder) {
-    BenchResult result = RunConfig(config, threads, duration_ms);
-    PrintJson(config, threads, result);
-    if (std::strcmp(config.name, kBaseline.name) == 0) {
-      baseline_tput = result.throughput;
-    }
-    if (std::strcmp(config.name, kTuned.name) == 0) {
-      tuned_tput = result.throughput;
-    }
-    if (std::strcmp(config.name, kShaped.name) == 0) {
-      shaped_tput = result.throughput;
-    }
+  double baseline_tput = 0, bg_tput = 0, shaped_tput = 0;
+  for (const BenchConfig* config : {&kBaseline, &kBg, &kShaped}) {
+    BenchResult result = RunConfig(*config, threads, duration_ms);
+    PrintJson(*config, threads, result);
+    if (config == &kBaseline) baseline_tput = result.throughput;
+    if (config == &kBg) bg_tput = result.throughput;
+    if (config == &kShaped) shaped_tput = result.throughput;
   }
-  double parallel = baseline_tput > 0 ? tuned_tput / baseline_tput : 0.0;
+  double bg = baseline_tput > 0 ? bg_tput / baseline_tput : 0.0;
   double shaped = baseline_tput > 0 ? shaped_tput / baseline_tput : 0.0;
   std::printf(
       "{\"experiment\":\"A10\",\"summary\":\"speedup\",\"threads\":%d,"
-      "\"parallel_vs_baseline\":%.2f,\"shaped_vs_baseline\":%.2f,"
+      "\"shaped_vs_baseline\":%.2f,"
       "\"best_vs_baseline\":%.2f,\"acceptance\":\"best >= 2x\"}\n",
-      threads, parallel, shaped, parallel > shaped ? parallel : shaped);
+      threads, shaped, std::max(bg, shaped));
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "cluster/microshard.h"
 #include "common/coding.h"
 #include "common/log.h"
 
@@ -180,31 +181,42 @@ sim::Task<Status> Client::MigrateObject(const std::string& oid,
     co_return Status::Unavailable("routing unknown for migration");
   }
   if (target->primary == source) co_return Status::OK();  // already there
+  coord::ShardId source_shard = shard_map_.ShardFor(oid);
 
   // 1. Extract (source stops serving the object).
   auto extracted = co_await rpc_.Call(source, "shard.extract", oid,
                                       options_.request_timeout);
   if (!extracted.ok()) co_return extracted.status();
   // 2. Install at the target replica set.
-  std::string install;
-  PutVarint32(&install, target_shard);
-  install += *extracted;
   auto installed = co_await rpc_.Call(target->primary, "shard.install",
-                                      std::move(install),
+                                      EncodeInstall(target_shard, oid, *extracted),
                                       options_.request_timeout);
-  if (!installed.ok()) co_return installed.status();
+  Status moved = installed.status();
   // 3. Publish the directory update through the coordinator.
-  if (!coordinators_.empty()) {
+  if (moved.ok() && !coordinators_.empty()) {
     std::string place;
     PutLengthPrefixed(&place, oid);
     PutVarint32(&place, target_shard);
     for (sim::NodeId coordinator : coordinators_) {
       auto reply = co_await rpc_.Call(coordinator, "coord.place", place,
                                       options_.request_timeout);
-      if (reply.ok()) break;
+      moved = reply.status();
+      if (moved.ok()) break;
     }
     co_await RefreshConfig();
-  } else {
+  }
+  if (!moved.ok()) {
+    // Roll back, as clusterd::ServerNode does: install the extracted
+    // copy back at the source, whose install lifts the extract's fence,
+    // so the source serves the object again. A copy that reached the
+    // target is an orphan nobody routes to. The migration's own failure
+    // is what the caller gets, whatever the rollback's outcome.
+    (void)co_await rpc_.Call(source, "shard.install",
+                             EncodeInstall(source_shard, oid, *extracted),
+                             options_.request_timeout);
+    co_return moved;
+  }
+  if (coordinators_.empty()) {
     // Coordinator-less deployments (unit tests): update locally.
     auto state = shard_map_.state();
     state.directory[oid] = target_shard;

@@ -69,7 +69,9 @@ class Client {
 
   /// Asks the coordinator to move `oid` to `shard` and orchestrates the
   /// copy: extract at the current primary, install at the new one,
-  /// publish the directory update.
+  /// publish the directory update. If the install or the publish fails,
+  /// the object is installed back at its source, which serves it again,
+  /// and the failure is returned.
   sim::Task<Status> MigrateObject(const std::string& oid, coord::ShardId shard);
 
   /// Retry counters (retries, budget_exhausted, throttled) come from

@@ -1,5 +1,6 @@
 #include "cluster/microshard.h"
 
+#include "common/coding.h"
 #include "runtime/object.h"
 
 namespace lo::cluster {
@@ -39,6 +40,23 @@ Result<std::string> ExtractObjectRep(storage::DB* db, std::string_view oid) {
 
 Result<storage::WriteBatch> DecodeObjectRep(std::string rep) {
   return storage::WriteBatch::FromRep(std::move(rep));
+}
+
+std::string EncodeInstall(coord::ShardId shard, std::string_view oid,
+                          std::string_view batch_rep) {
+  std::string out;
+  PutVarint32(&out, shard);
+  PutLengthPrefixed(&out, oid);
+  out.append(batch_rep);
+  return out;
+}
+
+bool DecodeInstall(std::string_view payload, coord::ShardId* shard,
+                   std::string_view* oid, std::string_view* batch_rep) {
+  Reader reader{payload};
+  if (!reader.GetVarint32(shard) || !reader.GetLengthPrefixed(oid)) return false;
+  *batch_rep = reader.rest();
+  return true;
 }
 
 }  // namespace lo::cluster

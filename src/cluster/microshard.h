@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "coord/coordinator.h"
 #include "storage/db.h"
 #include "storage/write_batch.h"
 
@@ -35,5 +36,12 @@ Result<std::string> ExtractObjectRep(storage::DB* db, std::string_view oid);
 
 /// Decodes an extract rep back into a WriteBatch (validates it).
 Result<storage::WriteBatch> DecodeObjectRep(std::string rep);
+
+/// shard.install request: varint32 shard | lp oid | extract rep
+/// (response: "ok").
+std::string EncodeInstall(coord::ShardId shard, std::string_view oid,
+                          std::string_view batch_rep);
+bool DecodeInstall(std::string_view payload, coord::ShardId* shard,
+                   std::string_view* oid, std::string_view* batch_rep);
 
 }  // namespace lo::cluster

@@ -8,6 +8,12 @@
 namespace lo::cluster {
 namespace {
 
+/// The node DB's memtable flush threshold.
+constexpr size_t kDbWriteBufferSize = 8 << 20;
+/// The node DB's SSTable block cache. Read-heavy workloads (GetTimeline)
+/// live or die on it.
+constexpr size_t kDbBlockCacheBytes = 16 << 20;
+
 std::string EncodeInvoke(std::string_view oid, std::string_view method,
                          std::string_view argument) {
   std::string out;
@@ -44,8 +50,8 @@ StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
   rpc_.SetTracer(options.tracer);
   storage::Options db_options;
   db_options.env = &env_;
-  db_options.write_buffer_size = options.db_write_buffer_size;
-  db_options.block_cache_bytes = options.db_block_cache_bytes;
+  db_options.write_buffer_size = kDbWriteBufferSize;
+  db_options.block_cache_bytes = kDbBlockCacheBytes;
   db_options.tracer = options.tracer;
   db_options.node_label = id;
   if (options.tracer != nullptr) {
@@ -256,25 +262,9 @@ void StorageNode::RegisterMetrics(obs::MetricsRegistry* reg) {
   reg->RegisterCallback("db.compaction_bytes_written", node, [this] {
     return static_cast<double>(db_->GetStats().compaction_bytes_written);
   });
-  // Write-path shaping (docs/tuning.md "reading the obs metrics"):
-  // stall_us growing means the LSM is pushing back on writers;
-  // compaction.inflight > 0 sustained with stall_soft climbing means
-  // compaction, not flush, is the bottleneck.
-  reg->RegisterCallback("storage.stall_us", node, [this] {
-    return static_cast<double>(db_->GetStats().stall_us);
-  });
-  reg->RegisterCallback("storage.stall_soft", node, [this] {
-    return static_cast<double>(db_->GetStats().stall_soft);
-  });
-  reg->RegisterCallback("storage.stall_hard", node, [this] {
-    return static_cast<double>(db_->GetStats().stall_hard);
-  });
   reg->RegisterCallback("compaction.bytes", node, [this] {
     const auto s = db_->GetStats();
     return static_cast<double>(s.compaction_bytes_read + s.compaction_bytes_written);
-  });
-  reg->RegisterCallback("compaction.inflight", node, [this] {
-    return static_cast<double>(db_->GetStats().compactions_inflight);
   });
   // Recovery path: these stay zero in healthy runs; any nonzero value in a
   // fault experiment shows which recovery mechanism fired.
@@ -574,14 +564,16 @@ sim::Task<Result<std::string>> StorageNode::HandleExtract(sim::NodeId,
 
 sim::Task<Result<std::string>> StorageNode::HandleInstall(sim::NodeId,
                                                           std::string payload) {
-  // payload = varint32 target shard | batch rep.
-  Reader reader{payload};
-  uint32_t shard = 0;
-  if (!reader.GetVarint32(&shard)) co_return Status::Corruption("bad install");
-  auto batch = storage::WriteBatch::FromRep(std::string(reader.rest()));
+  coord::ShardId shard = 0;
+  std::string_view oid, batch_rep;
+  if (!DecodeInstall(payload, &shard, &oid, &batch_rep)) {
+    co_return Status::Corruption("bad install");
+  }
+  auto batch = DecodeObjectRep(std::string(batch_rep));
   if (!batch.ok()) co_return batch.status();
   LO_CO_RETURN_IF_ERROR(
       co_await group_committer_->Commit(shard, std::move(*batch), {}));
+  migrated_away_.erase(std::string(oid));  // the object may be coming back
   metrics_.objects_migrated_in++;
   co_return std::string("ok");
 }

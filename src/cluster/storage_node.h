@@ -41,14 +41,9 @@ namespace lo::cluster {
 
 struct StorageNodeOptions {
   int cores = 20;                                   // Xeon Silver 4114 pair
-  size_t db_write_buffer_size = 8 << 20;            // memtable flush threshold
-  /// SSTable block cache per node (0 = off). Read-heavy workloads
-  /// (GetTimeline) live or die on this; bench/harness reads
-  /// LO_BLOCK_CACHE_MB into it.
-  size_t db_block_cache_bytes = 16 << 20;
   /// WAL group commit (cluster/wal_group_commit.h): commits queued while
   /// the shard's WAL device is busy coalesce into one fsync, up to this
-  /// many bytes per group (bench/harness reads LO_GC_BYTES into it).
+  /// many bytes per group (A8 sweeps it through bench::ExperimentConfig).
   size_t gc_max_batch_bytes = 1 << 20;
   sim::Duration dispatch_overhead = sim::Micros(15);// request demux/sched
   /// Server-side CPU per raw kv op (parse + LSM + syscall path) — paid by

@@ -278,7 +278,7 @@ void ServerNode::InstallHandlers() {
           }
           rpc_.Call(
               target_address, kSvcShardInstall,
-              EncodeInstall(target_shard, oid, *rep), kPeerTimeoutUs,
+              cluster::EncodeInstall(target_shard, oid, *rep), kPeerTimeoutUs,
               [this, oid, target_shard, respond](Result<std::string> installed) mutable {
                 if (!installed.ok()) {
                   // Target unreachable or refused: roll back and keep
@@ -304,7 +304,7 @@ void ServerNode::InstallHandlers() {
                                           net::RpcServer::Responder respond) {
     coord::ShardId shard = 0;
     std::string_view oid, batch_rep;
-    if (!DecodeInstall(request.payload, &shard, &oid, &batch_rep)) {
+    if (!cluster::DecodeInstall(request.payload, &shard, &oid, &batch_rep)) {
       respond(Status::Corruption("bad install payload"));
       return;
     }

@@ -161,23 +161,6 @@ bool DecodeMigrate(std::string_view payload, std::string_view* oid,
          reader.GetLengthPrefixed(target_address);
 }
 
-std::string EncodeInstall(coord::ShardId shard, std::string_view oid,
-                          std::string_view batch_rep) {
-  std::string out;
-  PutVarint32(&out, shard);
-  PutLengthPrefixed(&out, oid);
-  out.append(batch_rep);
-  return out;
-}
-
-bool DecodeInstall(std::string_view payload, coord::ShardId* shard,
-                   std::string_view* oid, std::string_view* batch_rep) {
-  Reader reader{payload};
-  if (!reader.GetVarint32(shard) || !reader.GetLengthPrefixed(oid)) return false;
-  *batch_rep = reader.rest();
-  return true;
-}
-
 std::string EncodeInvoke(std::string_view oid, std::string_view method,
                          std::string_view argument, std::string_view token) {
   std::string out;

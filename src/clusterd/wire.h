@@ -89,12 +89,9 @@ bool DecodeMigrate(std::string_view payload, std::string_view* oid,
                    coord::ShardId* target_shard,
                    std::string_view* target_address);
 
-// shard.install: commit an extracted object on the receiving server.
-//   request: varint32 shard | lp oid | batch rep   (response: "ok")
-std::string EncodeInstall(coord::ShardId shard, std::string_view oid,
-                          std::string_view batch_rep);
-bool DecodeInstall(std::string_view payload, coord::ShardId* shard,
-                   std::string_view* oid, std::string_view* batch_rep);
+// shard.install: commit an extracted object on the receiving server;
+// cluster::EncodeInstall (cluster/microshard.h) is its payload, shared
+// with the sim node.
 
 // lambda.invoke / lambda.create payloads (shared by clusterd::Client and
 // clusterd::ServerNode; the token is optional on the wire so

@@ -5,89 +5,51 @@
 // share a lane, so the lane lock is the object lock.
 //
 // Multi-tenant fairness: Lock() optionally carries a (tenant, weight)
-// pair. Waiters are grouped per tenant and Unlock() hands ownership
-// deficit-round-robin across the groups — a tenant with weight w gets w
+// pair. Waiters queue in a tenant::FairQueue and Unlock() hands ownership
+// deficit-round-robin across the tenants — a tenant with weight w gets w
 // consecutive grants per rotation — so one tenant's queue depth cannot
 // monopolize the lane. With a single tenant (the default, tenant 0) the
 // grant order is exactly the old FIFO.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 
 #include "common/log.h"
 #include "sim/task.h"
+#include "tenant/tenant.h"
 
 namespace lo::runtime {
 
 class AsyncMutex {
  public:
   sim::Task<void> Lock(uint32_t tenant = 0, uint32_t weight = 1) {
-    if (!locked_ && waiters_ == 0) {
+    if (!locked_ && waiters_.empty()) {
       locked_ = true;
       co_return;
     }
     auto slot = std::make_shared<sim::OneShot<bool>>();
-    Group& group = groups_[tenant];
-    group.weight = weight == 0 ? 1 : weight;
-    group.slots.push_back(slot);
-    if (!group.active) {
-      group.active = true;
-      rotation_.push_back(tenant);
-    }
-    waiters_++;
+    waiters_.Push(slot, tenant, weight);
     co_await slot->Wait();
     // Ownership was handed to us directly by Unlock().
   }
 
   void Unlock() {
     LO_CHECK_MSG(locked_, "unlock of unlocked AsyncMutex");
-    while (!rotation_.empty()) {
-      uint32_t tenant = rotation_.front();
-      Group& group = groups_[tenant];
-      if (group.slots.empty()) {
-        group.active = false;
-        group.credits = 0;
-        rotation_.pop_front();
-        continue;
-      }
-      if (group.credits == 0) group.credits = group.weight;
-      auto next = group.slots.front();
-      group.slots.pop_front();
-      group.credits--;
-      waiters_--;
-      if (group.credits == 0 || group.slots.empty()) {
-        group.credits = 0;
-        rotation_.pop_front();
-        if (!group.slots.empty()) {
-          rotation_.push_back(tenant);
-        } else {
-          group.active = false;
-        }
-      }
-      next->Fulfill(true);  // lock stays held; ownership transfers DRR
+    std::shared_ptr<sim::OneShot<bool>> next;
+    if (!waiters_.Pop(&next)) {
+      locked_ = false;
       return;
     }
-    locked_ = false;
+    next->Fulfill(true);  // lock stays held; ownership transfers DRR
   }
 
   bool locked() const { return locked_; }
-  size_t queue_length() const { return waiters_; }
+  size_t queue_length() const { return waiters_.size(); }
 
  private:
-  struct Group {
-    std::deque<std::shared_ptr<sim::OneShot<bool>>> slots;
-    uint32_t weight = 1;
-    uint32_t credits = 0;
-    bool active = false;  // present in rotation_
-  };
-
   bool locked_ = false;
-  size_t waiters_ = 0;
-  std::map<uint32_t, Group> groups_;
-  std::deque<uint32_t> rotation_;
+  tenant::FairQueue<std::shared_ptr<sim::OneShot<bool>>> waiters_;
 };
 
 }  // namespace lo::runtime

@@ -196,20 +196,20 @@ void ParallelNode::Enqueue(size_t lane_index, std::function<void()> job,
       options_.tenants != nullptr ? options_.tenants->WeightFor(tenant) : 1;
   {
     std::unique_lock<std::mutex> lock(lane.mu);
-    lane.queue.Push(std::move(job), tenant, weight, SteadyNowNs() / 1000);
+    lane.queue.Push(Job{std::move(job), tenant, SteadyNowNs() / 1000}, tenant, weight);
   }
   lane.work_cv.notify_one();
 }
 
 bool ParallelNode::PopJob(Lane* lane, std::function<void()>* job) {
-  tenant::FairQueue::Item item;
+  Job item;
   if (!lane->queue.Pop(&item)) return false;
   if (options_.tenants != nullptr) {
     int64_t now_us = SteadyNowNs() / 1000;
     options_.tenants->RecordQueueWait(item.tenant,
                                       std::max<int64_t>(0, now_us - item.enqueued_us));
   }
-  *job = std::move(item.job);
+  *job = std::move(item.run);
   return true;
 }
 

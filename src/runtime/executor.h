@@ -182,6 +182,12 @@ class ParallelNode {
   const Runtime& lane_runtime(size_t lane) const { return *lanes_[lane]->runtime; }
 
  private:
+  struct Job {
+    std::function<void()> run;
+    tenant::TenantId tenant = 0;
+    int64_t enqueued_us = 0;
+  };
+
   struct Lane {
     std::unique_ptr<Runtime> runtime;
     std::mutex mu;
@@ -190,7 +196,7 @@ class ParallelNode {
     /// DRR multi-queue guarded by mu; pure FIFO when only tenant 0 is
     /// active, so single-tenant ordering is byte-identical to the old
     /// std::deque.
-    tenant::FairQueue queue;
+    tenant::FairQueue<Job> queue;
     bool busy = false;
     bool stop = false;
     uint64_t executed = 0;

@@ -16,6 +16,11 @@ namespace {
 /// rarely serialize on one shard mutex.
 constexpr int kBlockCacheShardBits = 4;
 
+/// A compaction cuts its output into tables of at most this size
+/// (LevelDB's max_file_size default). Tables use TableOptions' defaults,
+/// which are LevelDB's too.
+constexpr uint64_t kMaxOutputFileBytes = 2 << 20;
+
 uint64_t SteadyMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -245,12 +250,6 @@ Status DB::Initialize() {
   l0_stop_trigger_ =
       options_.l0_stop_trigger > 0 ? options_.l0_stop_trigger : 3 * trigger;
 
-  if (options_.subcompactions > 1) {
-    // Workers beyond the calling thread (RunAll participates).
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.subcompactions - 1));
-  }
-
   if (env->FileExists(CurrentFileName(name_))) {
     stats_.recoveries++;
     LO_RETURN_IF_ERROR(versions_->Recover());
@@ -446,6 +445,7 @@ Status DB::SwitchMemTable() {
     return s;
   }
   imm_.push_back(std::move(imm));
+  has_imm_.store(true, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -605,7 +605,7 @@ Status DB::BuildL0File(const MemTable& mem, FileMetaData* meta) {
   meta->number = versions_->NewFileNumber();
   LO_ASSIGN_OR_RETURN(auto file,
                       options_.env->NewWritableFile(TableFileName(name_, meta->number)));
-  TableBuilder builder(options_.table, std::move(file));
+  TableBuilder builder(TableOptions{}, std::move(file));
   auto iter = mem.NewIterator();
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     if (meta->smallest.empty()) meta->smallest.assign(iter->key());
@@ -660,8 +660,12 @@ Status DB::FlushOldestImm(std::unique_lock<std::mutex>& lock) {
   edit.SetLogNumber(imm_.size() > 1 ? imm_[1].wal_number : wal_number_);
   LO_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
   imm_.pop_front();
+  has_imm_.store(!imm_.empty(), std::memory_order_relaxed);
+  // The WAL is the only file this flush retires. No DeleteObsoleteFiles
+  // here: mid-compaction, the merge's finished outputs are in no version
+  // yet. The next compaction, or the next Open, reaps any leftover.
   options_.env->DeleteFile(WalFileName(name_, imm_wal)).ok();
-  return DeleteObsoleteFiles();
+  return Status::OK();
 }
 
 Status DB::TakeBackgroundError() {
@@ -705,16 +709,12 @@ Status DB::MaybeCompact() {
   return Status::OK();
 }
 
-Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
-                      std::string_view begin, std::string_view end,
-                      SequenceNumber smallest_snapshot, int output_level,
-                      std::vector<FileMetaData>* outputs, uint64_t* bytes_written) {
+Status DB::MergeInputs(const std::vector<FileMetaData>& input_metas,
+                       SequenceNumber smallest_snapshot, int output_level,
+                       std::unique_lock<std::mutex>* lock,
+                       std::vector<FileMetaData>* outputs, uint64_t* bytes_written) {
   std::vector<std::unique_ptr<Iterator>> inputs;
   for (const auto& meta : input_metas) {
-    // Files entirely outside [begin, end) contribute nothing to this
-    // sub-range; skip opening an iterator over them.
-    if (!end.empty() && ExtractUserKey(meta.smallest) >= end) continue;
-    if (!begin.empty() && ExtractUserKey(meta.largest) < begin) continue;
     LO_ASSIGN_OR_RETURN(auto table, table_cache_.Get(meta.number));
     // fill_cache=false: a compaction reads each input block exactly once;
     // inserting them would evict the read path's hot set for nothing.
@@ -722,14 +722,7 @@ Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
         std::make_unique<OwningTableIterator>(std::move(table), /*fill_cache=*/false));
   }
   auto merged = NewMergingIterator(icmp_, std::move(inputs));
-  if (begin.empty()) {
-    merged->SeekToFirst();
-  } else {
-    // kMaxSequenceNumber sorts first within a user key, so this lands on
-    // the newest entry of `begin` — the sub-range owns the key's entire
-    // version history.
-    merged->Seek(MakeInternalKey(begin, kMaxSequenceNumber, kValueTypeForSeek));
-  }
+  merged->SeekToFirst();
 
   std::unique_ptr<TableBuilder> builder;
   FileMetaData out_meta;
@@ -748,6 +741,16 @@ Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
 
   for (; merged->Valid(); merged->Next()) {
+    if (lock != nullptr && has_imm_.load(std::memory_order_relaxed)) {
+      // As LevelDB does: a memtable that filled during the merge is
+      // flushed first, so a writer at the imm stop waits for one flush,
+      // not for the rest of the compaction.
+      lock->lock();
+      Status flushed = FlushOldestImm(*lock);
+      lock->unlock();
+      bg_done_cv_.notify_all();
+      LO_RETURN_IF_ERROR(flushed);
+    }
     std::string_view ikey = merged->key();
     ParsedInternalKey parsed;
     bool drop = false;
@@ -756,7 +759,6 @@ Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
       has_current_user_key = false;
       last_sequence_for_key = kMaxSequenceNumber;
     } else {
-      if (!end.empty() && parsed.user_key >= end) break;  // next sub-range's keys
       if (!has_current_user_key || parsed.user_key != current_user_key) {
         current_user_key.assign(parsed.user_key);
         has_current_user_key = true;
@@ -779,12 +781,12 @@ Status DB::SubCompact(const std::vector<FileMetaData>& input_metas,
       out_meta.number = versions_->NewFileNumber();
       LO_ASSIGN_OR_RETURN(
           auto file, options_.env->NewWritableFile(TableFileName(name_, out_meta.number)));
-      builder = std::make_unique<TableBuilder>(options_.table, std::move(file));
+      builder = std::make_unique<TableBuilder>(TableOptions{}, std::move(file));
       out_meta.smallest.assign(ikey);
     }
     out_meta.largest.assign(ikey);
     builder->Add(ikey, merged->value());
-    if (builder->file_size() >= options_.max_output_file_bytes) {
+    if (builder->file_size() >= kMaxOutputFileBytes) {
       LO_RETURN_IF_ERROR(finish_output());
     }
   }
@@ -796,7 +798,6 @@ Status DB::DoCompaction(const VersionSet::CompactionPick& pick,
                         std::unique_lock<std::mutex>* lock) {
   if (pick.level < 0) return Status::OK();
   stats_.compactions++;
-  stats_.compactions_inflight++;
   RecordInstantSpan("compaction");
   int output_level = pick.level + 1;
   SequenceNumber smallest_snapshot = SmallestSnapshot();
@@ -807,82 +808,23 @@ Status DB::DoCompaction(const VersionSet::CompactionPick& pick,
   for (const auto& meta : pick.next_inputs) input_metas.push_back(meta);
   for (const auto& meta : input_metas) stats_.compaction_bytes_read += meta.file_size;
 
-  // Partition the input key space into disjoint sub-ranges along file
-  // boundary user keys. Splitting on user keys (never inside one) keeps
-  // each key's whole version history in a single sub-range, so the
-  // per-range shadowing/tombstone logic sees exactly what a
-  // single-threaded pass would.
-  std::vector<std::string> splits;
-  int want = pool_ != nullptr ? std::min<int>(options_.subcompactions,
-                                              static_cast<int>(input_metas.size()))
-                              : 1;
-  if (want > 1) {
-    std::vector<std::string> keys;
-    keys.reserve(input_metas.size() * 2);
-    for (const auto& meta : input_metas) {
-      keys.emplace_back(ExtractUserKey(meta.smallest));
-      keys.emplace_back(ExtractUserKey(meta.largest));
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    // Interior boundaries only: keys[0] would make sub-range 0 empty.
-    for (int i = 1; i < want; i++) {
-      const std::string& k = keys[i * keys.size() / want];
-      if (k != keys.front() && (splits.empty() || k > splits.back())) {
-        splits.push_back(k);
-      }
-    }
-  }
-  size_t n_ranges = splits.size() + 1;
-
-  struct SubResult {
-    std::vector<FileMetaData> outputs;
-    uint64_t bytes = 0;
-    Status status;
-  };
-  std::vector<SubResult> results(n_ranges);
-  auto run_range = [&](size_t i) {
-    std::string_view begin = (i == 0) ? std::string_view() : std::string_view(splits[i - 1]);
-    std::string_view end =
-        (i == splits.size()) ? std::string_view() : std::string_view(splits[i]);
-    results[i].status = SubCompact(input_metas, begin, end, smallest_snapshot,
-                                   output_level, &results[i].outputs, &results[i].bytes);
-  };
-
-  // The workers read versions_ and table_cache_ without the DB mutex;
-  // safe under the single-maintenance-executor invariant (no concurrent
-  // version mutation while a compaction is in flight).
+  // The merge reads versions_ and table_cache_ without the DB mutex;
+  // safe because one thread runs all maintenance, so while it runs the
+  // version changes only on this thread (the merge's own flushes).
+  std::vector<FileMetaData> outputs;
+  uint64_t bytes_written = 0;
   if (lock != nullptr) lock->unlock();
-  if (n_ranges > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n_ranges);
-    for (size_t i = 0; i < n_ranges; i++) tasks.push_back([&, i] { run_range(i); });
-    pool_->RunAll(std::move(tasks));
-  } else {
-    run_range(0);
-  }
+  Status s = MergeInputs(input_metas, smallest_snapshot, output_level, lock,
+                         &outputs, &bytes_written);
   if (lock != nullptr) lock->lock();
-  if (n_ranges > 1) stats_.subcompactions_run += n_ranges;
+  stats_.compaction_bytes_written += bytes_written;
+  LO_RETURN_IF_ERROR(s);
 
   VersionEdit edit;
-  Status s;
-  for (auto& r : results) {
-    if (!r.status.ok() && s.ok()) s = r.status;
-    stats_.compaction_bytes_written += r.bytes;
-    // Sub-ranges are disjoint and processed in key order, so appending
-    // their outputs in range order keeps level files sorted.
-    for (auto& meta : r.outputs) edit.AddFile(output_level, std::move(meta));
-  }
-  if (!s.ok()) {
-    stats_.compactions_inflight--;
-    return s;
-  }
-
+  for (auto& meta : outputs) edit.AddFile(output_level, std::move(meta));
   for (const auto& meta : pick.inputs) edit.DeleteFile(pick.level, meta.number);
   for (const auto& meta : pick.next_inputs) edit.DeleteFile(output_level, meta.number);
-  s = versions_->LogAndApply(&edit);
-  stats_.compactions_inflight--;
-  LO_RETURN_IF_ERROR(s);
+  LO_RETURN_IF_ERROR(versions_->LogAndApply(&edit));
   // The inputs are dead the moment the edit commits: evict them now so
   // they stop pinning open file handles and metadata blocks even if the
   // directory sweep below cannot delete them yet.

@@ -16,6 +16,7 @@
 //     (see docs/minilsm.md "Maintenance: inline or background").
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -25,8 +26,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "storage/dbformat.h"
 #include "storage/env.h"
@@ -41,9 +42,6 @@ struct Options {
   Env* env = nullptr;  // required; not owned
   /// Memtable size that triggers a flush to L0.
   size_t write_buffer_size = 1 << 20;
-  /// Max bytes of one compaction output file.
-  uint64_t max_output_file_bytes = 2 << 20;
-  TableOptions table;
   /// SSTable block cache (sharded LRU, charge = block bytes), shared by
   /// every table of this DB. Point reads and iterator seeks consult it
   /// before touching the Env; compaction reads bypass *insertion* so bulk
@@ -58,10 +56,6 @@ struct Options {
   /// single-threaded, skip the locking and keep maintenance inline and
   /// deterministic.
   bool serialize_access = false;
-  /// Max parallel sub-compactions per compaction: the input key range is
-  /// partitioned into up to this many disjoint sub-ranges, each merged
-  /// by its own worker, all feeding one VersionEdit. 1 = sequential.
-  int subcompactions = 1;
   /// L0 file count where compaction starts. 0 = auto: 4 (each flush
   /// writes one L0 file).
   int l0_compaction_trigger = 0;
@@ -172,8 +166,6 @@ class DB {
     uint64_t stall_soft = 0;      // writes that took a soft-slowdown delay
     uint64_t stall_hard = 0;      // writes that hit the hard L0/imm stop
     uint64_t stall_us = 0;        // total stalled microseconds
-    uint64_t subcompactions_run = 0;     // partitioned sub-compaction tasks
-    uint64_t compactions_inflight = 0;   // gauge: compactions in progress
     int files_per_level[kNumLevels] = {};
     uint64_t bytes_per_level[kNumLevels] = {};
     size_t memtable_bytes = 0;
@@ -235,15 +227,16 @@ class DB {
   /// callers pass nullptr and keep the DB mutex the whole time.
   Status DoCompaction(const VersionSet::CompactionPick& pick,
                       std::unique_lock<std::mutex>* lock);
-  /// One sub-compaction worker: merges input files over the user-key
-  /// range [begin, end) (empty = unbounded) into output tables. Reads
-  /// only immutable inputs and thread-safe state, so workers run
-  /// concurrently; each key's whole version history stays inside one
-  /// sub-range because splits are user-key boundaries.
-  Status SubCompact(const std::vector<FileMetaData>& input_metas,
-                    std::string_view begin, std::string_view end,
-                    SequenceNumber smallest_snapshot, int output_level,
-                    std::vector<FileMetaData>* outputs, uint64_t* bytes_written);
+  /// The compaction's merge: writes the live entries of the input files
+  /// into output tables of at most kMaxOutputFileBytes each. Reads only
+  /// immutable inputs and thread-safe state (env, table cache, atomic
+  /// file numbers), so the maintenance thread runs it with the mutex
+  /// released; it then passes the released `lock`, and the merge stops
+  /// to flush any memtable queued meanwhile. Inline callers pass nullptr.
+  Status MergeInputs(const std::vector<FileMetaData>& input_metas,
+                     SequenceNumber smallest_snapshot, int output_level,
+                     std::unique_lock<std::mutex>* lock,
+                     std::vector<FileMetaData>* outputs, uint64_t* bytes_written);
   void BackgroundLoop();
   Status DeleteObsoleteFiles();
   SequenceNumber SmallestSnapshot() const;
@@ -266,8 +259,8 @@ class DB {
     uint64_t wal_number = 0;
   };
   std::deque<ImmMemTable> imm_;
-  /// Sub-compaction workers; null unless Options::subcompactions > 1.
-  std::unique_ptr<ThreadPool> pool_;
+  /// !imm_.empty(), readable without the mutex by the merge.
+  std::atomic<bool> has_imm_{false};
   std::unique_ptr<wal::Writer> wal_;
   uint64_t wal_number_ = 0;
   /// Set when a WAL append/sync failed; the next write rotates the WAL

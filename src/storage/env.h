@@ -84,10 +84,10 @@ class Env {
 /// In-memory filesystem. Also a fault-injection point: sync failures and
 /// torn tail writes (crash simulation) can be enabled per instance.
 ///
-/// The namespace (create/open/delete/rename/list) is thread-safe so
-/// parallel sub-compaction workers can open inputs and create outputs
-/// concurrently. Individual file *contents* follow POSIX rules: one
-/// writer per file, readers only after the writer finalized it.
+/// The namespace (create/open/delete/rename/list) is thread-safe so a
+/// DB's maintenance thread can open inputs and create outputs while a
+/// writer creates WALs. Individual file *contents* follow POSIX rules:
+/// one writer per file, readers only after the writer finalized it.
 class MemEnv : public Env {
  public:
   using Env::NewWritableFile;

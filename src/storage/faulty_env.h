@@ -107,8 +107,9 @@ class FaultyEnv : public Env {
   bool SyncShouldFail();
 
   Env* base_;
-  // Fault state is shared by every file handle; parallel sub-compaction
-  // workers append through this env concurrently.
+  // Fault state is shared by every file handle; a DB's maintenance
+  // thread writes tables through this env while its writers append to
+  // the WAL.
   mutable std::mutex fault_mu_;
   Rng rng_;                 // guarded by fault_mu_
   uint64_t countdown_ = 0;  // 0 = disabled; guarded by fault_mu_

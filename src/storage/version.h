@@ -103,7 +103,7 @@ class VersionSet {
   /// Applies the edit in memory and appends it to the manifest (synced).
   Status LogAndApply(VersionEdit* edit);
 
-  /// Lock-free: sub-compaction workers allocate output file numbers
+  /// Lock-free: the maintenance thread allocates output file numbers
   /// without holding the DB mutex.
   uint64_t NewFileNumber() {
     return next_file_number_.fetch_add(1, std::memory_order_relaxed);

@@ -274,48 +274,4 @@ std::vector<TenantId> TenantRegistry::KnownTenants() const {
   return ids;
 }
 
-void FairQueue::Push(std::function<void()> job, TenantId tenant,
-                     uint32_t weight, int64_t enqueued_us) {
-  SubQueue& q = queues_[tenant];
-  q.weight = std::max<uint32_t>(1, weight);
-  q.items.push_back(Item{std::move(job), tenant, enqueued_us});
-  if (!q.active) {
-    q.active = true;
-    rotation_.push_back(tenant);
-  }
-  size_++;
-}
-
-bool FairQueue::Pop(Item* out) {
-  while (!rotation_.empty()) {
-    TenantId tenant = rotation_.front();
-    SubQueue& q = queues_[tenant];
-    if (q.items.empty()) {
-      // Drained since its last turn; drop from rotation.
-      q.active = false;
-      q.credits = 0;
-      rotation_.pop_front();
-      continue;
-    }
-    if (q.credits == 0) q.credits = q.weight;
-    *out = std::move(q.items.front());
-    q.items.pop_front();
-    q.credits--;
-    size_--;
-    if (q.credits == 0 || q.items.empty()) {
-      // Turn over: move to the back of the rotation (or leave it if
-      // empty — the empty check above removes it lazily).
-      q.credits = 0;
-      rotation_.pop_front();
-      if (!q.items.empty()) {
-        rotation_.push_back(tenant);
-      } else {
-        q.active = false;
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
 }  // namespace lo::tenant

@@ -16,15 +16,16 @@
 //   * DRR weights consumed by FairQueue (the per-lane scheduler) so one
 //     tenant's queue depth cannot monopolize a lane.
 //
-// FairQueue is the deficit-round-robin sub-queue structure that replaces
-// the FIFO `std::deque` in runtime::ParallelNode lanes. It is NOT
-// thread-safe: callers hold the lane mutex, exactly as with the deque it
-// replaces. With only tenant 0 active it degenerates to exact FIFO, so
-// single-tenant behavior (and per-object ordering proofs) are unchanged.
+// FairQueue is the one deficit-round-robin rule: runtime::ParallelNode
+// lanes queue their jobs in one, and runtime::AsyncMutex its waiters. It
+// is NOT thread-safe: callers hold their own lock. With only tenant 0
+// active it degenerates to exact FIFO, so single-tenant behavior (and
+// per-object ordering proofs) are unchanged.
 //
 // See docs/tenancy.md for the model and knob table.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -135,22 +136,42 @@ class TenantRegistry {
   std::map<TenantId, std::unique_ptr<State>> tenants_;
 };
 
-/// Deficit-round-robin multi-queue drop-in for a lane's FIFO deque.
-/// Externally synchronized (callers hold the lane mutex). Weights come
-/// from the registry at Push time; unit job cost (every job costs one
-/// credit), so a tenant with weight w runs w jobs per round.
+/// Deficit round robin over per-tenant FIFO sub-queues. Unit cost (every
+/// item costs one credit): a tenant with weight w takes w items per turn,
+/// then goes to the back of the rotation. Externally synchronized.
+template <typename Item>
 class FairQueue {
  public:
-  struct Item {
-    std::function<void()> job;
-    TenantId tenant = 0;
-    int64_t enqueued_us = 0;
-  };
+  /// Queues `item` behind `tenant`'s earlier ones; `weight` (at least 1)
+  /// becomes the tenant's weight from its next turn on.
+  void Push(Item item, TenantId tenant, uint32_t weight) {
+    SubQueue& q = queues_[tenant];
+    q.weight = std::max<uint32_t>(1, weight);
+    // A tenant is in the rotation exactly while it has items queued.
+    if (q.items.empty()) rotation_.push_back(tenant);
+    q.items.push_back(std::move(item));
+    size_++;
+  }
 
-  void Push(std::function<void()> job, TenantId tenant, uint32_t weight,
-            int64_t enqueued_us);
-  /// Pops the next job per DRR, or returns false if empty.
-  bool Pop(Item* out);
+  /// Pops the next item per DRR, or returns false if empty.
+  bool Pop(Item* out) {
+    if (rotation_.empty()) return false;
+    TenantId tenant = rotation_.front();
+    SubQueue& q = queues_[tenant];
+    if (q.credits == 0) q.credits = q.weight;
+    *out = std::move(q.items.front());
+    q.items.pop_front();
+    q.credits--;
+    size_--;
+    if (q.credits == 0 || q.items.empty()) {
+      // Turn over: to the back of the rotation, or out of it if drained.
+      q.credits = 0;
+      rotation_.pop_front();
+      if (!q.items.empty()) rotation_.push_back(tenant);
+    }
+    return true;
+  }
+
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
@@ -159,7 +180,6 @@ class FairQueue {
     std::deque<Item> items;
     uint32_t weight = 1;
     uint32_t credits = 0;
-    bool active = false;  // present in rotation_
   };
 
   std::map<TenantId, SubQueue> queues_;

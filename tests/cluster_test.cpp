@@ -313,59 +313,103 @@ TEST(IdempotentCommit, SameTokenCommitsOnce) {
   });
 }
 
-TEST(MigrationTest, ObjectMovesBetweenShards) {
-  sim::Simulator sim(29);
-  runtime::TypeRegistry types;
-  ASSERT_TRUE(retwis::RegisterUserType(&types, /*use_vm=*/true).ok());
-  DeploymentOptions options;
-  options.num_storage_nodes = 3;
-  options.num_shards = 3;  // one primary per node
-  AggregatedDeployment deployment(sim, &types, options);
-  deployment.WaitUntilReady();
-  Client& client = deployment.NewClient();
+// A 3-node, 3-shard deployment (one primary per node) holding one user
+// with one post.
+class MigrationTest : public ::testing::Test {
+ public:
+  MigrationTest() : sim_(29) {
+    EXPECT_TRUE(retwis::RegisterUserType(&types_, /*use_vm=*/true).ok());
+    DeploymentOptions options;
+    options.num_storage_nodes = 3;
+    options.num_shards = 3;  // one primary per node
+    deployment_ = std::make_unique<AggregatedDeployment>(sim_, &types_, options);
+    deployment_->WaitUntilReady();
+    client_ = &deployment_->NewClient();
+    Run([&]() -> Task<void> {
+      auto created = co_await client_->Create(oid_, "user");
+      EXPECT_TRUE(created.ok()) << created.status().ToString();
+      auto inited = co_await client_->Invoke(oid_, "init", "mig");
+      EXPECT_TRUE(inited.ok());
+      auto posted = co_await client_->Invoke(oid_, "create_post", "pre-migration");
+      EXPECT_TRUE(posted.ok());
+    });
+  }
 
-  auto run = [&](auto&& coroutine) {
+  template <typename Coroutine>
+  void Run(Coroutine coroutine) {
     bool done = false;
-    Detach([](std::decay_t<decltype(coroutine)> body, bool* done) -> Task<void> {
+    Detach([](Coroutine body, bool* done) -> Task<void> {
       co_await body();
       *done = true;
     }(std::move(coroutine), &done));
-    while (!done) ASSERT_TRUE(sim.Step());
-  };
+    while (!done) ASSERT_TRUE(sim_.Step());
+  }
 
-  std::string oid = "user/mig";
-  run([&]() -> Task<void> {
-    auto created = co_await client.Create(oid, "user");
-    EXPECT_TRUE(created.ok()) << created.status().ToString();
-    auto inited = co_await client.Invoke(oid, "init", "mig");
-    EXPECT_TRUE(inited.ok());
-    auto posted = co_await client.Invoke(oid, "create_post", "pre-migration");
-    EXPECT_TRUE(posted.ok());
-  });
+  coord::ShardId HomeShard() { return deployment_->node(0).shard_map().ShardFor(oid_); }
 
-  coord::ShardId home = deployment.node(0).shard_map().ShardFor(oid);
-  coord::ShardId target = (home + 1) % 3;
-  run([&]() -> Task<void> {
-    Status s = co_await client.MigrateObject(oid, target);
+  /// The object's timeline holds exactly `posts` posts.
+  void ExpectTimelineSize(size_t posts) {
+    Run([&]() -> Task<void> {
+      auto timeline = co_await client_->Invoke(oid_, "get_timeline",
+                                               retwis::EncodeU64(10));
+      EXPECT_TRUE(timeline.ok()) << timeline.status().ToString();
+      if (timeline.ok()) {
+        auto decoded = retwis::DecodeTimeline(*timeline);
+        EXPECT_TRUE(decoded.ok());
+        if (decoded.ok()) {
+          EXPECT_EQ(decoded->size(), posts);
+        }
+      }
+    });
+  }
+
+ protected:
+  sim::Simulator sim_;
+  runtime::TypeRegistry types_;
+  std::unique_ptr<AggregatedDeployment> deployment_;
+  Client* client_ = nullptr;
+  std::string oid_ = "user/mig";
+};
+
+TEST_F(MigrationTest, ObjectMovesBetweenShards) {
+  coord::ShardId target = (HomeShard() + 1) % 3;
+  Run([&]() -> Task<void> {
+    Status s = co_await client_->MigrateObject(oid_, target);
     EXPECT_TRUE(s.ok()) << s.ToString();
   });
-  sim.RunFor(sim::Millis(100));  // config propagation to nodes
+  sim_.RunFor(sim::Millis(100));  // config propagation to nodes
 
   // Data survived the move and the object serves from its new home.
-  run([&]() -> Task<void> {
-    auto timeline = co_await client.Invoke(oid, "get_timeline",
-                                           retwis::EncodeU64(10));
-    EXPECT_TRUE(timeline.ok()) << timeline.status().ToString();
-    if (timeline.ok()) {
-      auto posts = retwis::DecodeTimeline(*timeline);
-      EXPECT_TRUE(posts.ok());
-      if (posts.ok()) {
-        EXPECT_EQ(posts->size(), 1u);
-      }
-    }
-    auto posted = co_await client.Invoke(oid, "create_post", "post-migration");
+  ExpectTimelineSize(1);
+  Run([&]() -> Task<void> {
+    auto posted = co_await client_->Invoke(oid_, "create_post", "post-migration");
     EXPECT_TRUE(posted.ok());
   });
+}
+
+TEST_F(MigrationTest, FailedInstallLeavesTheObjectServedAtItsSource) {
+  // The target shard's primary is down, so the install times out after
+  // the source has fenced the object. The migration must fail and hand
+  // the object back to its source instead of leaving it fenced there.
+  coord::ShardId home = HomeShard();
+  coord::ShardId target = (home + 1) % 3;
+  sim::NodeId target_primary =
+      deployment_->node(0).shard_map().ConfigFor(target)->primary;
+  for (int i = 0; i < deployment_->num_nodes(); i++) {
+    if (deployment_->node(i).id() == target_primary) deployment_->KillStorageNode(i);
+  }
+  Run([&]() -> Task<void> {
+    Status s = co_await client_->MigrateObject(oid_, target);
+    EXPECT_FALSE(s.ok());
+  });
+  EXPECT_EQ(HomeShard(), home);
+
+  ExpectTimelineSize(1);
+  Run([&]() -> Task<void> {
+    auto posted = co_await client_->Invoke(oid_, "create_post", "after-rollback");
+    EXPECT_TRUE(posted.ok()) << posted.status().ToString();
+  });
+  ExpectTimelineSize(2);
 }
 
 // ------------------------------------------------------- disaggregated

@@ -984,15 +984,18 @@ TEST_F(DBTest, BinaryKeysAndValues) {
 
 // ------------------------------------------------------------ Block cache
 
-// MemEnv that counts positional reads: with the block cache warm, the hot
-// read path must not touch the Env at all.
+// MemEnv that counts positional reads (table reads: with the block cache
+// warm, the hot read path must not touch the Env at all), and makes each
+// take `read_us` of wall time.
 class CountingEnv : public MemEnv {
  public:
+  std::atomic<int64_t> read_us{0};
+
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
       const std::string& path) override {
     auto base = MemEnv::NewRandomAccessFile(path);
     if (!base.ok()) return base.status();
-    return {std::make_unique<CountingFile>(std::move(*base), &random_reads_)};
+    return {std::make_unique<CountingFile>(std::move(*base), this)};
   }
 
   uint64_t random_reads() const { return random_reads_.load(); }
@@ -1000,18 +1003,18 @@ class CountingEnv : public MemEnv {
  private:
   class CountingFile : public RandomAccessFile {
    public:
-    CountingFile(std::unique_ptr<RandomAccessFile> base,
-                 std::atomic<uint64_t>* reads)
-        : base_(std::move(base)), reads_(reads) {}
+    CountingFile(std::unique_ptr<RandomAccessFile> base, CountingEnv* env)
+        : base_(std::move(base)), env_(env) {}
     Status Read(uint64_t offset, size_t n, std::string* out) const override {
-      reads_->fetch_add(1);
+      env_->random_reads_.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(env_->read_us.load()));
       return base_->Read(offset, n, out);
     }
     uint64_t Size() const override { return base_->Size(); }
 
    private:
     std::unique_ptr<RandomAccessFile> base_;
-    std::atomic<uint64_t>* reads_;
+    CountingEnv* env_;
   };
 
   std::atomic<uint64_t> random_reads_{0};
@@ -1770,55 +1773,14 @@ TEST(FaultyEnvTest, OpsFailWhileCrashedUntilRevived) {
   EXPECT_TRUE(faulty.NewWritableFile("/g").ok());
 }
 
-// ------------------------------------------------- Sub-compactions
+// ------------------------------------------------- Crash mid-compaction
 
-// Writes a seeded random workload (puts, overwrites, deletes), compacts
-// everything, and returns the full key=value dump.
-std::string CompactedDump(DB* db, uint64_t seed) {
-  Rng rng(seed);
-  for (int i = 0; i < 4000; i++) {
-    std::string key = "key" + std::to_string(rng.Uniform(700));
-    if (rng.Uniform(10) == 0) {
-      EXPECT_TRUE(db->Delete({}, key).ok());
-    } else {
-      EXPECT_TRUE(db->Put({}, key, "val" + std::to_string(i)).ok());
-    }
-  }
-  EXPECT_TRUE(db->CompactAll().ok());
-  std::string dump;
-  auto iter = db->NewIterator({});
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    dump += std::string(iter->key()) + "=" + std::string(iter->value()) + ";";
-  }
-  return dump;
-}
-
-TEST(Subcompaction, OutputMatchesSingleThreadedCompaction) {
-  auto run = [](int subcompactions) {
-    MemEnv env;
-    Options options;
-    options.env = &env;
-    options.write_buffer_size = 4 << 10;  // many input files per compaction
-    options.subcompactions = subcompactions;
-    auto db = std::move(*DB::Open(options, "/db"));
-    std::string dump = CompactedDump(db.get(), 17);
-    return std::make_pair(dump, db->GetStats().subcompactions_run);
-  };
-  auto [single, single_subs] = run(1);
-  auto [parallel, parallel_subs] = run(4);
-  EXPECT_EQ(single, parallel);
-  EXPECT_EQ(single_subs, 0u);
-  EXPECT_GT(parallel_subs, 0u) << "no compaction actually partitioned";
-  EXPECT_NE(single.find("key1="), std::string::npos);
-}
-
-TEST(Subcompaction, CrashMidCompactionRecoversCleanly) {
-  // Crash at many points inside a parallel CompactAll. Compaction is
-  // invisible to users: after every crash + reopen, the acked data must
-  // read back exactly; torn compaction outputs are orphans to reap.
+TEST(Compaction, CrashMidCompactAllRecoversCleanly) {
+  // Crash at many points inside CompactAll. Compaction is invisible to
+  // users: after every crash + reopen, the acked data must read back
+  // exactly; torn compaction outputs are orphans to reap.
   Options options;
   options.write_buffer_size = 4 << 10;
-  options.subcompactions = 4;
 
   // Pass 1, fault-free: learn how many write ops the compaction performs
   // and what the data should look like.
@@ -1984,6 +1946,66 @@ TEST(MaintenanceThread, CrashSweepLosesNoAckedCommit) {
   EXPECT_GT(max_compactions_at_crash, 0u);
 }
 
+TEST(MaintenanceThread, MemtableFilledDuringACompactionIsFlushedFirst) {
+  // Four flushes start an L0 compaction whose input reads are slow (only
+  // a compaction reads a table here; a flush only writes one). A memtable
+  // that fills meanwhile must be flushed while the compaction still runs,
+  // as in LevelDB, so that writers at the imm stop wait for a flush, not
+  // for the rest of the compaction.
+  Options options;
+  options.write_buffer_size = 16 << 10;
+  std::string value(1000, 'v');
+  auto key = [](int k) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%05d", k);
+    return std::string(buf);
+  };
+  // Fixed-size entries: every memtable switches after the same number of
+  // puts. An inline DB counts them.
+  int per_memtable = 0;
+  {
+    MemEnv probe_env;
+    options.env = &probe_env;
+    auto probe = std::move(*DB::Open(options, "/probe"));
+    while (probe->GetStats().flushes == 0) {
+      ASSERT_TRUE(probe->Put({}, key(per_memtable++), value).ok());
+    }
+  }
+
+  CountingEnv env;
+  env.read_us = 5000;
+  options.env = &env;
+  options.serialize_access = true;
+  auto db = std::move(*DB::Open(options, "/db"));
+  auto wait_until = [&](auto done) {
+    for (int i = 0; i < 20000 && !done(db->GetStats()); i++) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    return done(db->GetStats());
+  };
+  int puts = 0;
+  auto fill_memtable = [&] {
+    for (int i = 0; i < per_memtable; i++) {
+      ASSERT_TRUE(db->Put({}, key(puts++), value).ok());
+    }
+  };
+  for (uint64_t m = 1; m <= 4; m++) {
+    fill_memtable();
+    ASSERT_TRUE(wait_until([m](const DB::Stats& s) { return s.flushes == m; }));
+  }
+  ASSERT_TRUE(wait_until([](const DB::Stats& s) { return s.compactions == 1; }));
+  fill_memtable();
+  ASSERT_TRUE(wait_until([](const DB::Stats& s) { return s.flushes == 5; }));
+  EXPECT_EQ(db->GetStats().files_per_level[1], 0)
+      << "the fifth memtable was flushed only after the compaction ended";
+
+  env.read_us = 0;
+  ASSERT_TRUE(db->CompactAll().ok());
+  for (int k = 0; k < puts; k++) {
+    ASSERT_TRUE(db->Get({}, key(k)).ok()) << k;
+  }
+}
+
 // ------------------------------------------------- Stall shaping
 
 TEST(StallShaping, SoftSlowdownEngagesBeforeHardStop) {
@@ -2049,13 +2071,12 @@ TEST(StallShaping, HardStopBoundsImmBacklogAndRecovers) {
 }
 
 TEST(StallShaping, ConcurrentWritersWithFullParallelStack) {
-  // The TSan target: sub-compactions + the maintenance thread under real
-  // concurrent writers.
+  // The TSan target: the maintenance thread under real concurrent
+  // writers.
   MemEnv env;
   Options options;
   options.env = &env;
   options.serialize_access = true;
-  options.subcompactions = 4;
   options.write_buffer_size = 16 << 10;
   options.slowdown_delay_us = 10;
   auto db = std::move(*DB::Open(options, "/db"));

@@ -179,10 +179,10 @@ TEST(TenantRegistry, ConcurrentAdmitReleaseChargeFuel) {
 // --- FairQueue DRR -----------------------------------------------------
 
 TEST(FairQueue, DeficitRoundRobinHonorsWeights) {
-  FairQueue queue;
+  FairQueue<std::function<void()>> queue;
   std::vector<std::string> ran;
   auto push = [&](const std::string& label, TenantId tenant, uint32_t weight) {
-    queue.Push([&ran, label] { ran.push_back(label); }, tenant, weight, 0);
+    queue.Push([&ran, label] { ran.push_back(label); }, tenant, weight);
   };
   // Interleaved arrival, weights 2:1.
   for (int i = 0; i < 4; i++) {
@@ -190,8 +190,8 @@ TEST(FairQueue, DeficitRoundRobinHonorsWeights) {
     push("b" + std::to_string(i), 2, 1);
   }
   EXPECT_EQ(queue.size(), 8u);
-  FairQueue::Item item;
-  while (queue.Pop(&item)) item.job();
+  std::function<void()> job;
+  while (queue.Pop(&job)) job();
   // Tenant 1 runs 2 jobs per turn, tenant 2 one; once tenant 1 drains,
   // tenant 2 gets every turn.
   EXPECT_EQ(ran, (std::vector<std::string>{"a0", "a1", "b0", "a2", "a3", "b1",
@@ -200,13 +200,13 @@ TEST(FairQueue, DeficitRoundRobinHonorsWeights) {
 }
 
 TEST(FairQueue, SingleTenantIsExactFifo) {
-  FairQueue queue;
+  FairQueue<std::function<void()>> queue;
   std::vector<int> ran;
   for (int i = 0; i < 5; i++) {
-    queue.Push([&ran, i] { ran.push_back(i); }, 0, 1, 0);
+    queue.Push([&ran, i] { ran.push_back(i); }, 0, 1);
   }
-  FairQueue::Item item;
-  while (queue.Pop(&item)) item.job();
+  std::function<void()> job;
+  while (queue.Pop(&job)) job();
   EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
