@@ -27,13 +27,6 @@
 // turns on the lenient structural assertions used by ctest: at least
 // one migration happened, the error rate stayed low, and the cluster
 // was not left slower than a third of baseline.
-#include <poll.h>
-#include <signal.h>
-#include <spawn.h>
-#include <string.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -44,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/child_process.h"
 #include "clusterd/client.h"
 #include "clusterd/wire.h"
 #include "common/hash.h"
@@ -54,86 +48,18 @@
 #include "retwis/retwis.h"
 #include "retwis/workload.h"
 
-extern char** environ;
-
 namespace {
 
 using namespace lo;
 
-std::string SiblingBin(const char* name) {
-  char buf[4096];
-  ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return name;
-  buf[n] = '\0';
-  std::string path(buf);
-  size_t slash = path.rfind('/');
-  if (slash == std::string::npos) return name;
-  return path.substr(0, slash) + "/../tools/" + name;
-}
-
-// Owns a spawned cluster process; SIGKILLed on scope exit unless waited.
-struct Proc {
-  pid_t pid = -1;
-  int stdout_fd = -1;
-  uint16_t port = 0;
-
-  Proc() = default;
-  Proc(Proc&& other) noexcept { *this = std::move(other); }
-  Proc& operator=(Proc&& other) noexcept {
-    std::swap(pid, other.pid);
-    std::swap(stdout_fd, other.stdout_fd);
-    std::swap(port, other.port);
-    return *this;
-  }
-  ~Proc() {
-    if (stdout_fd >= 0) close(stdout_fd);
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-  }
-};
-
-Proc Spawn(const std::string& bin, std::vector<std::string> args) {
+bench::ChildProcess Spawn(const std::string& bin, std::vector<std::string> args) {
   args.insert(args.begin(), bin);
-  int pipefd[2];
-  LO_CHECK_MSG(pipe(pipefd) == 0, "pipe");
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_adddup2(&actions, pipefd[1], STDOUT_FILENO);
-  posix_spawn_file_actions_addclose(&actions, pipefd[0]);
-  posix_spawn_file_actions_addclose(&actions, pipefd[1]);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  Proc proc;
-  int rc = posix_spawn(&proc.pid, args[0].c_str(), &actions, nullptr,
-                       argv.data(), environ);
-  posix_spawn_file_actions_destroy(&actions);
-  close(pipefd[1]);
-  if (rc != 0) {
-    close(pipefd[0]);
-    std::fprintf(stderr, "posix_spawn %s: %s\n", args[0].c_str(), strerror(rc));
+  auto child = bench::ChildProcess::Spawn(std::move(args));
+  if (!child.ok()) {
+    std::fprintf(stderr, "%s\n", child.status().ToString().c_str());
     LO_CHECK_MSG(false, "cannot spawn cluster process");
   }
-  proc.stdout_fd = pipefd[0];
-
-  std::string out;
-  while (true) {
-    size_t pos = out.find("READY port=");
-    if (pos != std::string::npos && out.find('\n', pos) != std::string::npos) {
-      proc.port = static_cast<uint16_t>(
-          std::atoi(out.c_str() + pos + strlen("READY port=")));
-      return proc;
-    }
-    struct pollfd pfd = {proc.stdout_fd, POLLIN, 0};
-    LO_CHECK_MSG(poll(&pfd, 1, 30'000) > 0, "process did not print READY in 30s");
-    char buf[256];
-    ssize_t n = read(proc.stdout_fd, buf, sizeof(buf));
-    LO_CHECK_MSG(n > 0, "process exited before READY");
-    out.append(buf, static_cast<size_t>(n));
-  }
+  return std::move(*child);
 }
 
 // Pulls "<key>=<value>\n" out of an admin.stats body.
@@ -199,29 +125,21 @@ int main(int argc, char** argv) {
     config.min_requests = 100;
   }
 
-  const std::string server_bin = [] {
-    const char* env = std::getenv("LO_NET_SERVER_BIN");
-    return env != nullptr && env[0] != '\0' ? std::string(env)
-                                            : SiblingBin("lambdastore-server");
-  }();
-  const std::string coord_bin = [] {
-    const char* env = std::getenv("LO_COORD_BIN");
-    return env != nullptr && env[0] != '\0'
-               ? std::string(env)
-               : SiblingBin("lambdastore-coordinator");
-  }();
+  const std::string server_bin =
+      bench::ToolBinary("LO_NET_SERVER_BIN", "lambdastore-server");
+  const std::string coord_bin =
+      bench::ToolBinary("LO_COORD_BIN", "lambdastore-coordinator");
 
   // --- cluster up: coordinator + 3 hash-placed servers -----------------
   const int initial_servers = 3;
-  Proc coordinator = Spawn(
+  bench::ChildProcess coordinator = Spawn(
       coord_bin,
       {"--hash-servers=" + std::to_string(initial_servers),
        "--rebalance-interval-ms=" + std::to_string(config.rebalance_interval_ms),
        "--skew=" + std::to_string(config.skew),
        "--min-requests=" + std::to_string(config.min_requests),
        "--migrations-per-round=" + std::to_string(config.migrations_per_round)});
-  const std::string coord_address =
-      "127.0.0.1:" + std::to_string(coordinator.port);
+  const std::string coord_address = coordinator.address();
 
   auto spawn_server = [&] {
     return Spawn(server_bin,
@@ -231,7 +149,7 @@ int main(int argc, char** argv) {
                   "--seed-posts=" + std::to_string(config.posts_per_user),
                   "--seed=" + std::to_string(config.seed)});
   };
-  std::vector<Proc> servers;
+  std::vector<bench::ChildProcess> servers;
   for (int i = 0; i < initial_servers; i++) servers.push_back(spawn_server());
 
   // Celebrities: 8 users that all hash-place onto the first server
@@ -401,22 +319,12 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   // --- teardown --------------------------------------------------------
-  for (Proc& server : servers) {
-    (void)rpc.CallSync("127.0.0.1:" + std::to_string(server.port),
-                       "admin.shutdown", "", 2'000'000);
+  for (bench::ChildProcess& server : servers) {
+    (void)rpc.CallSync(server.address(), "admin.shutdown", "", 2'000'000);
   }
   (void)rpc.CallSync(coord_address, "admin.shutdown", "", 2'000'000);
-  auto reap = [](Proc& proc) {
-    for (int i = 0; i < 100; i++) {
-      if (waitpid(proc.pid, nullptr, WNOHANG) == proc.pid) {
-        proc.pid = -1;
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  };
-  for (Proc& server : servers) reap(server);
-  reap(coordinator);
+  for (bench::ChildProcess& server : servers) server.Wait(5'000);
+  coordinator.Wait(5'000);
 
   if (config.smoke) {
     // Structural gates, deliberately lenient: the smoke run proves the

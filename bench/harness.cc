@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "cluster/microshard.h"
 #include "common/log.h"
 #include "obs/export.h"
 
@@ -182,12 +183,10 @@ retwis::DriverResult DisaggregatedSystem::Run(retwis::OpType op,
     sim::RpcEndpoint* rpc = &deployment_->NewClientEndpoint();
     invokers.push_back(
         [rpc, entry, service, tracer](const retwis::Request& request) {
-          std::string payload;
-          PutLengthPrefixed(&payload, request.oid);
-          PutLengthPrefixed(&payload, request.method);
-          PutLengthPrefixed(&payload, request.argument);
-          return TracedEntryCall(rpc, tracer, entry, service,
-                                 std::move(payload));
+          return TracedEntryCall(
+              rpc, tracer, entry, service,
+              cluster::EncodeInvoke(request.oid, request.method,
+                                    request.argument));
         });
   }
   retwis::DriverConfig driver;

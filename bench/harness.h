@@ -143,11 +143,11 @@ retwis::DriverResult RunExperiment(bool aggregated, retwis::OpType op,
 // --- A13: small-RPC transport saturation (bench/realnet_saturation) ----
 
 /// One arm of the A13 sweep: spawns a lambdastore-server with the given
-/// transport config (LO_NET_PORT pins its port, LO_NET_SERVER_BIN
-/// overrides the binary) and saturates it with a raw-socket pipelining
-/// loadgen — `connections` blocking sockets, each keeping a window of
-/// `window` "ping" echo requests on the wire (whole windows written
-/// with one syscall, responses matched FIFO). Tiny payloads make
+/// transport config (LO_NET_SERVER_BIN overrides the binary) and
+/// saturates it with a raw-socket pipelining loadgen — `connections`
+/// blocking sockets, each keeping a window of `window` "ping" echo
+/// requests on the wire (whole windows written with one syscall,
+/// responses matched FIFO). Tiny payloads make
 /// syscall and copy costs dominate, which is what the sharded/coalesced
 /// transport exists to shrink.
 struct SaturationConfig {

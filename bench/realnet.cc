@@ -4,12 +4,8 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <signal.h>
-#include <spawn.h>
 #include <string.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -18,94 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include "bench/child_process.h"
 #include "bench/harness.h"
 #include "common/log.h"
 #include "net/rpc_client.h"
 
-extern char** environ;
-
 namespace lo::bench {
 
 namespace {
-
-// The bench binaries live in <build>/bench, the server in <build>/tools.
-std::string DefaultServerBin() {
-  char buf[4096];
-  ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "lambdastore-server";
-  buf[n] = '\0';
-  std::string path(buf);
-  size_t slash = path.rfind('/');
-  if (slash == std::string::npos) return "lambdastore-server";
-  return path.substr(0, slash) + "/../tools/lambdastore-server";
-}
-
-int64_t IntEnv(const char* name, int64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' ? std::strtoll(v, nullptr, 10) : fallback;
-}
-
-// Owns the spawned server; kills it on any early exit so a failed bench
-// never leaks a process holding the port (and our stderr).
-struct ServerProcess {
-  pid_t pid = -1;
-  int stdout_fd = -1;
-  uint16_t port = 0;
-
-  ~ServerProcess() {
-    if (stdout_fd >= 0) close(stdout_fd);
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-  }
-  void Release() { pid = -1; }
-};
-
-/// Spawns `args[0]` with stdout piped and blocks for "READY port=<p>".
-void SpawnWithArgs(std::vector<std::string> args, ServerProcess* server) {
-  int pipefd[2];
-  LO_CHECK_MSG(pipe(pipefd) == 0, "pipe");
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_adddup2(&actions, pipefd[1], STDOUT_FILENO);
-  posix_spawn_file_actions_addclose(&actions, pipefd[0]);
-  posix_spawn_file_actions_addclose(&actions, pipefd[1]);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  pid_t pid = -1;
-  int rc = posix_spawn(&pid, args[0].c_str(), &actions, nullptr, argv.data(),
-                       environ);
-  posix_spawn_file_actions_destroy(&actions);
-  close(pipefd[1]);
-  if (rc != 0) {
-    close(pipefd[0]);
-    std::fprintf(stderr, "posix_spawn %s: %s\n", args[0].c_str(), strerror(rc));
-    LO_CHECK_MSG(false, "cannot spawn lambdastore-server (set LO_NET_SERVER_BIN)");
-  }
-  server->pid = pid;
-  server->stdout_fd = pipefd[0];
-
-  // Wait for "READY port=<p>". Seeding a 10k-user graph takes a moment.
-  std::string out;
-  while (true) {
-    size_t pos = out.find("READY port=");
-    if (pos != std::string::npos && out.find('\n', pos) != std::string::npos) {
-      server->port = static_cast<uint16_t>(
-          std::atoi(out.c_str() + pos + strlen("READY port=")));
-      return;
-    }
-    struct pollfd pfd = {server->stdout_fd, POLLIN, 0};
-    int pr = poll(&pfd, 1, 30'000);
-    LO_CHECK_MSG(pr > 0, "lambdastore-server did not print READY in 30s");
-    char buf[256];
-    ssize_t n = read(server->stdout_fd, buf, sizeof(buf));
-    LO_CHECK_MSG(n > 0, "lambdastore-server exited before READY");
-    out.append(buf, static_cast<size_t>(n));
-  }
-}
 
 /// Blocking loopback connect with TCP_NODELAY — the saturation loadgen
 /// wants the simplest possible client so its own overhead stays flat
@@ -141,14 +57,15 @@ uint64_t StatValue(const std::string& stats, const std::string& key) {
 }  // namespace
 
 SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
-  const char* bin = std::getenv("LO_NET_SERVER_BIN");
-  std::string server_bin = bin != nullptr && bin[0] != '\0' ? bin : DefaultServerBin();
-  ServerProcess server;
-  SpawnWithArgs(
-      {server_bin, "--port=" + std::to_string(IntEnv("LO_NET_PORT", 0)),
-       "--net-threads=" + std::to_string(config.net_threads)},
-      &server);
-  const std::string address = "127.0.0.1:" + std::to_string(server.port);
+  auto spawned = ChildProcess::Spawn(
+      {ToolBinary("LO_NET_SERVER_BIN", "lambdastore-server"),
+       "--net-threads=" + std::to_string(config.net_threads)});
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "%s\n", spawned.status().ToString().c_str());
+    LO_CHECK_MSG(false, "cannot spawn lambdastore-server (set LO_NET_SERVER_BIN)");
+  }
+  ChildProcess server = std::move(*spawned);
+  const std::string address = server.address();
 
   // One pipelined window, encoded once. rpc_id stays constant because
   // responses are matched FIFO per connection, never by id.
@@ -175,7 +92,7 @@ SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
   for (size_t c = 0; c < slots.size(); c++) {
     threads.emplace_back([&, c] {
       Slot& slot = slots[c];
-      int fd = DialBlocking(server.port);
+      int fd = DialBlocking(server.port());
       std::string inbuf;
       char buf[64 * 1024];
       while (phase.load(std::memory_order_acquire) < 2) {
@@ -262,15 +179,7 @@ SaturationResult RunRealNetSaturation(const SaturationConfig& config) {
   result.reactors = static_cast<int>(StatValue(*after, "net_reactors"));
 
   (void)rpc.CallSync(address, "admin.shutdown", "", 1'000'000);
-  int status = 0;
-  for (int i = 0; i < 100; i++) {  // up to 5s for the drain
-    if (waitpid(server.pid, &status, WNOHANG) == server.pid) {
-      server.Release();
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  if (server.pid > 0) {
+  if (server.Wait(5'000) == -1) {  // up to 5s for the drain
     std::fprintf(stderr, "lambdastore-server ignored shutdown; killing\n");
   }
   return result;

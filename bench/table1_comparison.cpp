@@ -20,6 +20,8 @@
 #include <string>
 
 #include "bench/harness.h"
+#include "cluster/microshard.h"
+#include "sim/calibration.h"
 
 using namespace lo;
 using namespace lo::bench;
@@ -68,7 +70,7 @@ int main() {
                 &system.deployment().node(0).cpu());
     // Cold start: first invocation ~ VM instantiation only (no container).
     lambda_objects.cold_start_ms =
-        sim::ToMillis(cluster::StorageNodeOptions{}.vm_instantiation_overhead) +
+        sim::ToMillis(sim::kSandboxInstantiation) +
         lambda_objects.warm_latency_ms;
   }
 
@@ -116,7 +118,6 @@ int main() {
     LO_CHECK(retwis::RegisterUserType(&types, /*use_vm=*/false).ok());
     cluster::DeploymentOptions options;
     options.node.vm_instantiation_overhead = 0;  // always-resident service
-    options.node.runtime.native_fuel_estimate = 2000;
     options.client.request_timeout = sim::Seconds(5);
     cluster::AggregatedDeployment deployment(sim, &types, options);
     deployment.WaitUntilReady();
@@ -161,10 +162,8 @@ int main() {
     }
     auto& probe = deployment.NewClientEndpoint();
     auto invoke_once = [&](const retwis::Request& request) {
-      std::string payload;
-      PutLengthPrefixed(&payload, request.oid);
-      PutLengthPrefixed(&payload, request.method);
-      PutLengthPrefixed(&payload, request.argument);
+      std::string payload =
+          cluster::EncodeInvoke(request.oid, request.method, request.argument);
       Result<std::string> out = Status::Unavailable("");
       bool done = false;
       sim::Time started = sim.Now();
@@ -189,11 +188,10 @@ int main() {
       sim::RpcEndpoint* rpc = &deployment.NewClientEndpoint();
       sim::NodeId entry = deployment.entry_node();
       invokers.push_back([rpc, entry](const retwis::Request& request) {
-        std::string payload;
-        PutLengthPrefixed(&payload, request.oid);
-        PutLengthPrefixed(&payload, request.method);
-        PutLengthPrefixed(&payload, request.argument);
-        return rpc->Call(entry, "lb.invoke", std::move(payload), sim::Seconds(10));
+        return rpc->Call(
+            entry, "lb.invoke",
+            cluster::EncodeInvoke(request.oid, request.method, request.argument),
+            sim::Seconds(10));
       });
     }
     retwis::DriverConfig driver;

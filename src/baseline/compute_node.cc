@@ -1,19 +1,15 @@
 #include "baseline/compute_node.h"
 
+#include "cluster/microshard.h"
 #include "common/coding.h"
 #include "common/log.h"
+#include "sim/calibration.h"
 
 namespace lo::baseline {
 namespace {
 
-std::string EncodeInvoke(std::string_view oid, std::string_view method,
-                         std::string_view argument) {
-  std::string out;
-  PutLengthPrefixed(&out, oid);
-  PutLengthPrefixed(&out, method);
-  PutLengthPrefixed(&out, argument);
-  return out;
-}
+/// Deadline on one storage round trip.
+constexpr sim::Duration kStorageTimeout = sim::Millis(100);
 
 }  // namespace
 
@@ -29,7 +25,7 @@ class RemoteHostApi : public vm::HostApi {
     node_->metrics_.storage_round_trips++;
     co_return co_await node_->rpc_.Call(Primary(), "kv.get",
                                         runtime::FieldKey(oid_, key),
-                                        node_->options_.storage_timeout, trace_);
+                                        kStorageTimeout, trace_);
   }
 
   sim::Task<Status> KvPut(std::string_view key, std::string_view value) override {
@@ -39,7 +35,7 @@ class RemoteHostApi : public vm::HostApi {
     PutLengthPrefixed(&payload, value);
     payload.push_back(0);
     auto reply = co_await node_->rpc_.Call(Primary(), "kv.put", payload,
-                                           node_->options_.storage_timeout, trace_);
+                                           kStorageTimeout, trace_);
     co_return reply.status();
   }
 
@@ -50,7 +46,7 @@ class RemoteHostApi : public vm::HostApi {
     PutLengthPrefixed(&payload, "");
     payload.push_back(1);
     auto reply = co_await node_->rpc_.Call(Primary(), "kv.put", payload,
-                                           node_->options_.storage_timeout, trace_);
+                                           kStorageTimeout, trace_);
     co_return reply.status();
   }
 
@@ -62,8 +58,9 @@ class RemoteHostApi : public vm::HostApi {
     // this compute node as a fresh invocation.
     if (node_->load_balancer_ != 0) {
       co_return co_await node_->rpc_.Call(
-          node_->load_balancer_, "lb.invoke", EncodeInvoke(oid, function, argument),
-          node_->options_.storage_timeout * 4, trace_);
+          node_->load_balancer_, "lb.invoke",
+          cluster::EncodeInvoke(oid, function, argument), kStorageTimeout * 4,
+          trace_);
     }
     co_return co_await node_->InvokeFunction(std::string(oid), std::string(function),
                                              std::string(argument), trace_);
@@ -84,7 +81,7 @@ class RemoteHostApi : public vm::HostApi {
 ComputeNode::ComputeNode(sim::Network& net, sim::NodeId id,
                          const runtime::TypeRegistry* types,
                          ComputeNodeOptions options)
-    : options_(options), rpc_(net, id), cpu_(net.sim(), options.cores),
+    : options_(options), rpc_(net, id), cpu_(net.sim(), sim::kNodeCores),
       types_(types) {
   rpc_.SetTracer(options.tracer);
   rpc_.Handle("fn.invoke", [this](sim::NodeId from, obs::TraceContext trace,
@@ -113,7 +110,7 @@ sim::Task<Result<std::string>> ComputeNode::TypeNameOf(const std::string& oid) {
   metrics_.storage_round_trips++;
   auto reply = co_await rpc_.Call(shard_map_.PrimaryFor(oid), "kv.get",
                                   runtime::ObjectExistsKey(oid),
-                                  options_.storage_timeout);
+                                  kStorageTimeout);
   if (!reply.ok()) co_return reply.status();
   type_cache_[oid] = *reply;
   co_return reply;
@@ -152,13 +149,13 @@ sim::Task<Result<std::string>> ComputeNode::InvokeFunction(std::string oid,
   co_await MaybeColdStart(*type_name);
 
   RemoteHostApi host(this, oid, trace);
-  vm::Instance instance(impl->module.get(), options_.vm_limits);
+  vm::Instance instance(impl->module.get(), vm::VmLimits{});
   auto result = co_await instance.Invoke(method, std::move(argument), &host);
   uint64_t fuel = instance.metrics().fuel_used;
   metrics_.fuel_executed += fuel;
   sim::Time exec_started = rpc_.sim().Now();
-  co_await cpu_.Execute(options_.vm_instantiation_overhead +
-                        static_cast<sim::Duration>(fuel * options_.ns_per_fuel));
+  co_await cpu_.Execute(sim::kSandboxInstantiation +
+                        static_cast<sim::Duration>(fuel * sim::kNsPerFuel));
   if (obs::Tracing(options_.tracer, trace)) {
     options_.tracer->RecordChild(trace, "vm_exec", id(), exec_started,
                                  rpc_.sim().Now());
@@ -169,14 +166,12 @@ sim::Task<Result<std::string>> ComputeNode::InvokeFunction(std::string oid,
 sim::Task<Result<std::string>> ComputeNode::HandleInvoke(sim::NodeId,
                                                          obs::TraceContext trace,
                                                          std::string payload) {
-  Reader reader{payload};
-  std::string_view oid, method, argument;
-  if (!reader.GetLengthPrefixed(&oid) || !reader.GetLengthPrefixed(&method) ||
-      !reader.GetLengthPrefixed(&argument)) {
+  std::string_view oid, method, argument, token;
+  if (!cluster::DecodeInvoke(payload, &oid, &method, &argument, &token)) {
     co_return Status::Corruption("bad fn.invoke payload");
   }
   sim::Time dispatch_started = rpc_.sim().Now();
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
   if (obs::Tracing(options_.tracer, trace)) {
     options_.tracer->RecordChild(trace, "dispatch", id(), dispatch_started,
                                  rpc_.sim().Now());
@@ -187,12 +182,11 @@ sim::Task<Result<std::string>> ComputeNode::HandleInvoke(sim::NodeId,
 
 sim::Task<Result<std::string>> ComputeNode::HandleCreate(sim::NodeId,
                                                          std::string payload) {
-  Reader reader{payload};
-  std::string_view oid, type_name;
-  if (!reader.GetLengthPrefixed(&oid) || !reader.GetLengthPrefixed(&type_name)) {
+  std::string_view oid, type_name, token;
+  if (!cluster::DecodeCreate(payload, &oid, &type_name, &token)) {
     co_return Status::Corruption("bad fn.create payload");
   }
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
   if (types_->Find(*&type_name) == nullptr) {
     co_return Status::NotFound("unknown type");
   }
@@ -203,7 +197,7 @@ sim::Task<Result<std::string>> ComputeNode::HandleCreate(sim::NodeId,
   put.push_back(0);
   metrics_.storage_round_trips++;
   auto reply = co_await rpc_.Call(shard_map_.PrimaryFor(oid), "kv.put", put,
-                                  options_.storage_timeout);
+                                  kStorageTimeout);
   if (!reply.ok()) co_return reply.status();
   co_return std::string(oid);
 }

@@ -23,20 +23,14 @@
 
 namespace lo::baseline {
 
+/// The node's costs are the simulator's calibration (sim/calibration.h),
+/// the same table the aggregated system's StorageNode charges.
 struct ComputeNodeOptions {
-  int cores = 20;
-  sim::Duration dispatch_overhead = sim::Micros(15);
-  uint64_t ns_per_fuel = 2;
-  /// Sandbox instantiation cost charged per invocation (same constant as
-  /// the aggregated system: both run the same isolation mechanism).
-  sim::Duration vm_instantiation_overhead = sim::Micros(100);
-  vm::VmLimits vm_limits;
   /// Cold-start penalty paid when a function's sandbox is not warm
   /// (container spin-up). 0 disables; the Table 1 benchmark sets it.
   sim::Duration cold_start = 0;
   /// How long a warm sandbox stays warm after an invocation.
   sim::Duration keep_alive = sim::Seconds(600);
-  sim::Duration storage_timeout = sim::Millis(100);
   /// Observability (nullptr = off).
   obs::MetricsRegistry* metrics_registry = nullptr;
   obs::Tracer* tracer = nullptr;

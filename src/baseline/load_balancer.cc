@@ -1,9 +1,13 @@
 #include "baseline/load_balancer.h"
 
 #include "common/log.h"
+#include "sim/calibration.h"
 
 namespace lo::baseline {
 namespace {
+
+/// Deadline on one dispatch to a compute node before the next is tried.
+constexpr sim::Duration kComputeTimeout = sim::Millis(500);
 
 std::unique_ptr<storage::DB> OpenDb(storage::MemEnv* env, const std::string& name) {
   storage::Options options;
@@ -43,7 +47,7 @@ sim::Task<Result<std::string>> LoadBalancer::HandleInvoke(sim::NodeId,
                                                           std::string payload) {
   metrics_.requests++;
   sim::Time dispatch_started = rpc_.sim().Now();
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kLoadBalancerDispatchOverhead);
   if (obs::Tracing(options_.tracer, trace)) {
     options_.tracer->RecordChild(trace, "dispatch", id(), dispatch_started,
                                  rpc_.sim().Now());
@@ -51,7 +55,7 @@ sim::Task<Result<std::string>> LoadBalancer::HandleInvoke(sim::NodeId,
   // Durability first: the request is logged before any execution, so a
   // compute failure can be retried rather than lost.
   sim::Time append_started = rpc_.sim().Now();
-  co_await rpc_.sim().Sleep(options_.log_sync_latency);
+  co_await rpc_.sim().Sleep(sim::kLogSyncLatency);
   auto index = co_await log_.Append(payload, trace);
   if (!index.ok()) co_return index.status();
   metrics_.log_appends++;
@@ -65,7 +69,7 @@ sim::Task<Result<std::string>> LoadBalancer::HandleInvoke(sim::NodeId,
     sim::NodeId target = compute_pool_[next_compute_];
     next_compute_ = (next_compute_ + 1) % compute_pool_.size();
     auto result = co_await rpc_.Call(target, "fn.invoke", payload,
-                                     options_.compute_timeout, trace);
+                                     kComputeTimeout, trace);
     if (result.ok() || (!result.status().IsTimeout() &&
                         !result.status().IsUnavailable())) {
       co_return result;

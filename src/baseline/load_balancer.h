@@ -17,10 +17,9 @@
 
 namespace lo::baseline {
 
+/// The balancer's dispatch and log sync are the simulator's calibration
+/// (sim/calibration.h).
 struct LoadBalancerOptions {
-  sim::Duration dispatch_overhead = sim::Micros(20);
-  sim::Duration log_sync_latency = sim::Micros(80);
-  sim::Duration compute_timeout = sim::Millis(500);
   /// Observability (nullptr = off).
   obs::MetricsRegistry* metrics_registry = nullptr;
   obs::Tracer* tracer = nullptr;

@@ -101,13 +101,9 @@ std::string Client::NextInvocationToken() {
 sim::Task<Result<std::string>> Client::Invoke(std::string oid, std::string method,
                                               std::string argument) {
   metrics_.requests++;
-  std::string payload;
-  PutLengthPrefixed(&payload, oid);
-  PutLengthPrefixed(&payload, method);
-  PutLengthPrefixed(&payload, argument);
   // The token is baked into the payload once, before the retry loop, so
   // every attempt of this request carries the same identity.
-  PutLengthPrefixed(&payload, NextInvocationToken());
+  std::string payload = EncodeInvoke(oid, method, argument, NextInvocationToken());
   obs::TraceContext trace = StartRootTrace();
   sim::Time started = rpc_.sim().Now();
   auto wrapped =
@@ -164,11 +160,8 @@ sim::Task<Result<std::string>> Client::InvokeRead(std::string oid,
 sim::Task<Result<std::string>> Client::Create(std::string oid,
                                               std::string type_name) {
   metrics_.requests++;
-  std::string payload;
-  PutLengthPrefixed(&payload, oid);
-  PutLengthPrefixed(&payload, type_name);
-  PutLengthPrefixed(&payload, NextInvocationToken());
-  auto wrapped = co_await CallWithRouting(oid, "lambda.create2", std::move(payload));
+  auto wrapped = co_await CallWithRouting(
+      oid, "lambda.create2", EncodeCreate(oid, type_name, NextInvocationToken()));
   co_return UnwrapToken(shard_map_.ShardFor(oid), std::move(wrapped));
 }
 
@@ -194,9 +187,7 @@ sim::Task<Status> Client::MigrateObject(const std::string& oid,
   Status moved = installed.status();
   // 3. Publish the directory update through the coordinator.
   if (moved.ok() && !coordinators_.empty()) {
-    std::string place;
-    PutLengthPrefixed(&place, oid);
-    PutVarint32(&place, target_shard);
+    std::string place = coord::EncodePlace(oid, target_shard);
     for (sim::NodeId coordinator : coordinators_) {
       auto reply = co_await rpc_.Call(coordinator, "coord.place", place,
                                       options_.request_timeout);

@@ -3,6 +3,12 @@
 #include "common/log.h"
 
 namespace lo::cluster {
+namespace {
+
+/// Size of the Paxos-replicated coordinator group.
+constexpr int kCoordinators = 3;
+
+}  // namespace
 
 AggregatedDeployment::AggregatedDeployment(sim::Simulator& sim,
                                            const runtime::TypeRegistry* types,
@@ -30,7 +36,7 @@ AggregatedDeployment::AggregatedDeployment(sim::Simulator& sim,
       return static_cast<double>(net_.delay_spikes());
     });
   }
-  for (int i = 0; i < options.num_coordinators; i++) {
+  for (int i = 0; i < kCoordinators; i++) {
     coordinator_ids_.push_back(static_cast<sim::NodeId>(1 + i));
   }
   for (sim::NodeId id : coordinator_ids_) {
@@ -74,14 +80,13 @@ AggregatedDeployment::AggregatedDeployment(sim::Simulator& sim,
   sim_.RunFor(sim::Millis(50));
   LO_CHECK_MSG(bootstrapped, "coordinator bootstrap did not converge");
 
-  // Push initial config into every storage node and start heartbeats.
+  // Push initial config into every storage node and start heartbeats
+  // and failure detection.
   for (auto& node : storage_nodes_) {
     node->ApplyConfig(bootstrap_);
-    if (options.start_background_loops) node->Start();
+    node->Start();
   }
-  if (options.start_background_loops) {
-    for (auto& coordinator : coordinators_) coordinator->Start();
-  }
+  for (auto& coordinator : coordinators_) coordinator->Start();
 }
 
 void AggregatedDeployment::WaitUntilReady() { sim_.RunFor(sim::Millis(50)); }

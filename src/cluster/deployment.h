@@ -1,9 +1,9 @@
 // Turn-key deployments for tests, examples and benchmarks.
 //
 // AggregatedDeployment reproduces the paper's evaluation topology: a
-// Paxos-replicated coordinator group plus one storage replica set whose
-// nodes *are* the execution environment (the "aggregated" variant). Node
-// ids: coordinators 1..C, storage nodes 10..,  clients 100+.
+// Paxos-replicated group of three coordinators plus one storage replica
+// set whose nodes *are* the execution environment (the "aggregated"
+// variant). Node ids: coordinators 1..3, storage nodes 10..,  clients 100+.
 #pragma once
 
 #include <memory>
@@ -18,10 +18,8 @@
 namespace lo::cluster {
 
 struct DeploymentOptions {
-  int num_coordinators = 3;
   int num_storage_nodes = 3;  // one replica set (paper: 3 machines)
   int num_shards = 1;         // shards are striped across the nodes
-  bool start_background_loops = true;  // heartbeats + failure detection
   sim::NetworkConfig network;
   StorageNodeOptions node;
   ClientOptions client;

@@ -59,4 +59,53 @@ bool DecodeInstall(std::string_view payload, coord::ShardId* shard,
   return true;
 }
 
+std::string EncodeInvoke(std::string_view oid, std::string_view method,
+                         std::string_view argument) {
+  std::string out;
+  PutLengthPrefixed(&out, oid);
+  PutLengthPrefixed(&out, method);
+  PutLengthPrefixed(&out, argument);
+  return out;
+}
+
+std::string EncodeInvoke(std::string_view oid, std::string_view method,
+                         std::string_view argument, std::string_view token) {
+  std::string out = EncodeInvoke(oid, method, argument);
+  PutLengthPrefixed(&out, token);
+  return out;
+}
+
+bool DecodeInvoke(std::string_view payload, std::string_view* oid,
+                  std::string_view* method, std::string_view* argument,
+                  std::string_view* token) {
+  Reader reader{payload};
+  if (!reader.GetLengthPrefixed(oid) || !reader.GetLengthPrefixed(method) ||
+      !reader.GetLengthPrefixed(argument)) {
+    return false;
+  }
+  *token = {};
+  reader.GetLengthPrefixed(token);
+  return true;
+}
+
+std::string EncodeCreate(std::string_view oid, std::string_view type_name,
+                         std::string_view token) {
+  std::string out;
+  PutLengthPrefixed(&out, oid);
+  PutLengthPrefixed(&out, type_name);
+  PutLengthPrefixed(&out, token);
+  return out;
+}
+
+bool DecodeCreate(std::string_view payload, std::string_view* oid,
+                  std::string_view* type_name, std::string_view* token) {
+  Reader reader{payload};
+  if (!reader.GetLengthPrefixed(oid) || !reader.GetLengthPrefixed(type_name)) {
+    return false;
+  }
+  *token = {};
+  reader.GetLengthPrefixed(token);
+  return true;
+}
+
 }  // namespace lo::cluster

@@ -6,7 +6,9 @@
 // the existence key plus every field key (including list/map entries and
 // the idempotency markers, which must travel with the object so retries
 // stay exactly-once across a migration). Extract packages that set as a
-// WriteBatch rep; install commits the rep on the receiving node.
+// WriteBatch rep; install commits the rep on the receiving node. The
+// invoke and create payloads both deployments send close the file (the
+// coord.place payload is coord::EncodePlace).
 #pragma once
 
 #include <string>
@@ -43,5 +45,23 @@ std::string EncodeInstall(coord::ShardId shard, std::string_view oid,
                           std::string_view batch_rep);
 bool DecodeInstall(std::string_view payload, coord::ShardId* shard,
                    std::string_view* oid, std::string_view* batch_rep);
+
+/// lambda.invoke (and the baseline's fn.invoke / lb.invoke) request:
+/// lp oid | lp method | lp argument [| lp token]. Client requests carry
+/// an idempotency token; node-to-node forwards of nested invocations
+/// use the three-field form. Absent decodes as an empty token.
+std::string EncodeInvoke(std::string_view oid, std::string_view method,
+                         std::string_view argument);
+std::string EncodeInvoke(std::string_view oid, std::string_view method,
+                         std::string_view argument, std::string_view token);
+bool DecodeInvoke(std::string_view payload, std::string_view* oid,
+                  std::string_view* method, std::string_view* argument,
+                  std::string_view* token);
+
+/// lambda.create request: lp oid | lp type_name [| lp token].
+std::string EncodeCreate(std::string_view oid, std::string_view type_name,
+                         std::string_view token);
+bool DecodeCreate(std::string_view payload, std::string_view* oid,
+                  std::string_view* type_name, std::string_view* token);
 
 }  // namespace lo::cluster

@@ -14,30 +14,6 @@ constexpr size_t kDbWriteBufferSize = 8 << 20;
 /// live or die on it.
 constexpr size_t kDbBlockCacheBytes = 16 << 20;
 
-std::string EncodeInvoke(std::string_view oid, std::string_view method,
-                         std::string_view argument) {
-  std::string out;
-  PutLengthPrefixed(&out, oid);
-  PutLengthPrefixed(&out, method);
-  PutLengthPrefixed(&out, argument);
-  return out;
-}
-
-bool DecodeInvoke(std::string_view payload, std::string_view* oid,
-                  std::string_view* method, std::string_view* argument,
-                  std::string_view* token) {
-  Reader reader{payload};
-  if (!reader.GetLengthPrefixed(oid) || !reader.GetLengthPrefixed(method) ||
-      !reader.GetLengthPrefixed(argument)) {
-    return false;
-  }
-  // Optional idempotency token: client requests carry one; node-to-node
-  // forwards of nested invocations (EncodeInvoke) do not.
-  *token = {};
-  reader.GetLengthPrefixed(token);
-  return true;
-}
-
 }  // namespace
 
 StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
@@ -98,7 +74,7 @@ StorageNode::StorageNode(sim::Network& net, sim::NodeId id,
   // CPU: sandbox instantiation plus executed fuel occupies a worker core.
   runtime_->SetCpuCharger([this](uint64_t fuel) -> sim::Task<void> {
     return cpu_.Execute(options_.vm_instantiation_overhead +
-                        static_cast<sim::Duration>(fuel * options_.ns_per_fuel));
+                        static_cast<sim::Duration>(fuel * sim::kNsPerFuel));
   });
   // Nested invocations route through the shard map.
   runtime_->SetRemoteInvoker(
@@ -394,7 +370,7 @@ sim::Task<Result<std::string>> StorageNode::HandleInvoke(obs::TraceContext trace
     co_return Status::Corruption("bad invoke payload");
   }
   sim::Time dispatch_started = rpc_.sim().Now();
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
   RecordSpan(trace, "dispatch", dispatch_started);
   if (migrated_away_.contains(std::string(oid))) {
     metrics_.invokes_rejected_not_primary++;
@@ -411,15 +387,12 @@ sim::Task<Result<std::string>> StorageNode::HandleInvoke(obs::TraceContext trace
 }
 
 sim::Task<Result<std::string>> StorageNode::HandleCreate(std::string payload) {
-  Reader reader{payload};
-  std::string_view oid, type_name;
-  if (!reader.GetLengthPrefixed(&oid) || !reader.GetLengthPrefixed(&type_name)) {
+  std::string_view oid, type_name, token;
+  if (!DecodeCreate(payload, &oid, &type_name, &token)) {
     co_return Status::Corruption("bad create payload");
   }
-  std::string_view token;  // optional third field (see DecodeInvoke)
-  reader.GetLengthPrefixed(&token);
   coord::ShardId shard = shard_map_.ShardFor(oid);
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
   if (!IsPrimaryFor(oid)) co_return Status::WrongNode("not primary for object");
   auto result = co_await runtime_->CreateObject(runtime::ObjectId(oid),
                                                 std::string(type_name),
@@ -452,7 +425,7 @@ sim::Task<Result<std::string>> StorageNode::HandleRead(obs::TraceContext trace,
   }
   const std::string_view oid = read.oid;
   sim::Time dispatch_started = rpc_.sim().Now();
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
   RecordSpan(trace, "dispatch", dispatch_started);
   if (migrated_away_.contains(std::string(oid))) {
     co_return Status::WrongNode("object migrated away");
@@ -485,8 +458,8 @@ sim::Task<Result<std::string>> StorageNode::HandleRead(obs::TraceContext trace,
 sim::Task<Result<std::string>> StorageNode::HandleKvGet(sim::NodeId,
                                                         std::string payload) {
   metrics_.kv_ops_served++;
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
-  co_await cpu_.Execute(options_.kv_op_cpu);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
+  co_await cpu_.Execute(sim::kKvOpCpu);
   co_return db_->Get({}, payload);
 }
 
@@ -502,10 +475,10 @@ sim::Task<Result<std::string>> StorageNode::HandleKvPut(sim::NodeId,
   }
   metrics_.kv_ops_served++;
   sim::Time dispatch_started = rpc_.sim().Now();
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
   RecordSpan(trace, "dispatch", dispatch_started);
   sim::Time exec_started = rpc_.sim().Now();
-  co_await cpu_.Execute(options_.kv_op_cpu);
+  co_await cpu_.Execute(sim::kKvOpCpu);
   RecordSpan(trace, "kv_exec", exec_started);
   storage::WriteBatch batch;
   if (is_delete[0] != 0) {
@@ -524,10 +497,10 @@ sim::Task<Result<std::string>> StorageNode::HandleKvBatch(sim::NodeId,
                                                           std::string payload) {
   metrics_.kv_ops_served++;
   sim::Time dispatch_started = rpc_.sim().Now();
-  co_await rpc_.sim().Sleep(options_.dispatch_overhead);
+  co_await rpc_.sim().Sleep(sim::kDispatchOverhead);
   RecordSpan(trace, "dispatch", dispatch_started);
   sim::Time exec_started = rpc_.sim().Now();
-  co_await cpu_.Execute(options_.kv_op_cpu);
+  co_await cpu_.Execute(sim::kKvOpCpu);
   RecordSpan(trace, "kv_exec", exec_started);
   auto batch = storage::WriteBatch::FromRep(std::move(payload));
   if (!batch.ok()) co_return batch.status();

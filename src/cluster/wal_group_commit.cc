@@ -2,14 +2,16 @@
 
 #include <utility>
 
+#include "sim/calibration.h"
+
 namespace lo::cluster {
 
 WalGroupCommitter::WalGroupCommitter(sim::Simulator* sim, SyncSink sink,
-                                     size_t max_batch_bytes,
+                                     size_t max_group_bytes,
                                      obs::Tracer* tracer, uint32_t node_label)
     : sim_(sim),
       sink_(std::move(sink)),
-      max_batch_bytes_(max_batch_bytes),
+      max_group_bytes_(max_group_bytes),
       tracer_(tracer),
       node_label_(node_label) {}
 
@@ -27,13 +29,13 @@ sim::Task<void> WalGroupCommitter::FlushLoop(coord::ShardId shard) {
   std::deque<Pending>& queue = queues_[shard];
   while (!queue.empty()) {
     auto group =
-        storage::CommitGroup<Pending>::Seal(&queue, max_batch_bytes_);
+        storage::CommitGroup<Pending>::Seal(&queue, max_group_bytes_);
 
     // One device sync for the whole group. Commits arriving during the
     // sleep queue up behind the busy device — that backpressure is where
     // the next group comes from.
     sim::Time sync_started = sim_->Now();
-    co_await sim_->Sleep(kSyncLatency);
+    co_await sim_->Sleep(sim::kLogSyncLatency);
     for (const Pending& p : group.members) {
       if (obs::Tracing(tracer_, p.trace)) {
         tracer_->RecordChild(p.trace, "wal_sync", node_label_, sync_started,

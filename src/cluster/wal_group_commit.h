@@ -1,6 +1,7 @@
 // Simulated WAL device, grouping commits by storage/group_commit.h.
 //
-// A storage node has one WAL device; its fsyncs are inherently serial.
+// A storage node has one WAL device; its fsyncs are inherently serial,
+// and each takes sim::kLogSyncLatency (sim/calibration.h).
 // Before this existed, every commit slept the sync latency
 // independently — unlimited overlapping fsyncs, which both overstates
 // device parallelism and understates what grouping buys. This models the
@@ -33,18 +34,15 @@ namespace lo::cluster {
 
 class WalGroupCommitter {
  public:
-  /// Device time per fsync (NVMe flush).
-  static constexpr sim::Duration kSyncLatency = sim::Micros(80);
-
   /// Called once per group after the modeled sync delay: durably apply
   /// (and replicate) the combined batch. The trace is the first group
   /// member's.
   using SyncSink = std::function<sim::Task<Status>(
       coord::ShardId shard, storage::WriteBatch batch, obs::TraceContext trace)>;
 
-  /// Groups hold at most `max_batch_bytes` (and at least one batch). A
+  /// Groups hold at most `max_group_bytes` (and at least one batch). A
   /// non-null `tracer` records each sampled member's "wal_sync" span.
-  WalGroupCommitter(sim::Simulator* sim, SyncSink sink, size_t max_batch_bytes,
+  WalGroupCommitter(sim::Simulator* sim, SyncSink sink, size_t max_group_bytes,
                     obs::Tracer* tracer = nullptr, uint32_t node_label = 0);
 
   /// Queues the batch on the shard's WAL device and completes when its
@@ -68,7 +66,7 @@ class WalGroupCommitter {
 
   sim::Simulator* sim_;
   SyncSink sink_;
-  size_t max_batch_bytes_;
+  size_t max_group_bytes_;
   obs::Tracer* tracer_;
   uint32_t node_label_;
   std::unordered_map<coord::ShardId, std::deque<Pending>> queues_;

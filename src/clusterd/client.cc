@@ -124,7 +124,7 @@ Result<std::string> Client::Invoke(const std::string& oid,
 Result<std::string> Client::Create(const std::string& oid,
                                    const std::string& type_name) {
   return Call(oid, "lambda.create",
-              EncodeCreate(oid, type_name, NextInvocationToken()));
+              cluster::EncodeCreate(oid, type_name, NextInvocationToken()));
 }
 
 Result<std::string> Client::InvokeRead(const std::string& oid,

@@ -88,7 +88,7 @@ void CoordinatorServer::InstallHandlers() {
                                    net::RpcServer::Responder respond) {
     std::string_view oid;
     coord::ShardId shard = 0;
-    if (!DecodePlace(request.payload, &oid, &shard)) {
+    if (!coord::DecodePlace(request.payload, &oid, &shard)) {
       respond(Status::Corruption("bad place payload"));
       return;
     }
@@ -130,7 +130,7 @@ void CoordinatorServer::InstallHandlers() {
                                      net::RpcServer::Responder respond) {
     std::string_view oid_view;
     coord::ShardId target_shard = 0;
-    if (!DecodePlace(request.payload, &oid_view, &target_shard)) {
+    if (!coord::DecodePlace(request.payload, &oid_view, &target_shard)) {
       respond(Status::Corruption("bad migrate payload"));
       return;
     }

@@ -181,7 +181,7 @@ void ServerNode::InstallHandlers() {
   server_.Handle("lambda.invoke", [this](net::RpcServer::Request request,
                                          net::RpcServer::Responder respond) {
     std::string_view oid, method, argument, token;
-    if (!DecodeInvoke(request.payload, &oid, &method, &argument, &token)) {
+    if (!cluster::DecodeInvoke(request.payload, &oid, &method, &argument, &token)) {
       respond(Status::Corruption("bad invoke payload"));
       return;
     }
@@ -199,7 +199,7 @@ void ServerNode::InstallHandlers() {
   server_.Handle("lambda.create", [this](net::RpcServer::Request request,
                                          net::RpcServer::Responder respond) {
     std::string_view oid, type_name, token;
-    if (!DecodeCreate(request.payload, &oid, &type_name, &token)) {
+    if (!cluster::DecodeCreate(request.payload, &oid, &type_name, &token)) {
       respond(Status::Corruption("bad create payload"));
       return;
     }
@@ -421,7 +421,7 @@ void ServerNode::PlaceAsync(std::string oid, coord::ShardId shard,
   // Encoded before the Call so the callback's `std::move(oid)` capture —
   // evaluated in unspecified order relative to the other arguments —
   // cannot hollow out the payload.
-  std::string payload = EncodePlace(oid, shard);
+  std::string payload = coord::EncodePlace(oid, shard);
   rpc_.Call(coordinator_, kSvcPlace, std::move(payload),
             kCoordTimeoutUs,
             [this, oid = std::move(oid), shard, attempts_left,

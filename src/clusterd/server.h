@@ -51,9 +51,8 @@ struct ServerNodeOptions {
   /// RpcServer bind config; port 0 = ephemeral.
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;
-  /// Transport reactor threads (0 = LO_NET_THREADS, default 1); see
-  /// net::RpcServerOptions.
-  int net_threads = 0;
+  /// Transport reactor threads; see net::RpcServerOptions.
+  int net_threads = 1;
   /// Host peers and clients dial this server on (advertised to the
   /// coordinator as "<advertise_host>:<port>").
   std::string advertise_host = "127.0.0.1";

@@ -131,19 +131,6 @@ Status DecodeLoadReport(std::string_view payload, LoadReport* report) {
   return Status::OK();
 }
 
-std::string EncodePlace(std::string_view oid, coord::ShardId shard) {
-  std::string out;
-  PutLengthPrefixed(&out, oid);
-  PutVarint32(&out, shard);
-  return out;
-}
-
-bool DecodePlace(std::string_view payload, std::string_view* oid,
-                 coord::ShardId* shard) {
-  Reader reader{payload};
-  return reader.GetLengthPrefixed(oid) && reader.GetVarint32(shard);
-}
-
 std::string EncodeMigrate(std::string_view oid, coord::ShardId target_shard,
                           std::string_view target_address) {
   std::string out;
@@ -159,49 +146,6 @@ bool DecodeMigrate(std::string_view payload, std::string_view* oid,
   Reader reader{payload};
   return reader.GetLengthPrefixed(oid) && reader.GetVarint32(target_shard) &&
          reader.GetLengthPrefixed(target_address);
-}
-
-std::string EncodeInvoke(std::string_view oid, std::string_view method,
-                         std::string_view argument, std::string_view token) {
-  std::string out;
-  PutLengthPrefixed(&out, oid);
-  PutLengthPrefixed(&out, method);
-  PutLengthPrefixed(&out, argument);
-  PutLengthPrefixed(&out, token);
-  return out;
-}
-
-bool DecodeInvoke(std::string_view payload, std::string_view* oid,
-                  std::string_view* method, std::string_view* argument,
-                  std::string_view* token) {
-  Reader reader{payload};
-  if (!reader.GetLengthPrefixed(oid) || !reader.GetLengthPrefixed(method) ||
-      !reader.GetLengthPrefixed(argument)) {
-    return false;
-  }
-  *token = {};
-  reader.GetLengthPrefixed(token);
-  return true;
-}
-
-std::string EncodeCreate(std::string_view oid, std::string_view type_name,
-                         std::string_view token) {
-  std::string out;
-  PutLengthPrefixed(&out, oid);
-  PutLengthPrefixed(&out, type_name);
-  PutLengthPrefixed(&out, token);
-  return out;
-}
-
-bool DecodeCreate(std::string_view payload, std::string_view* oid,
-                  std::string_view* type_name, std::string_view* token) {
-  Reader reader{payload};
-  if (!reader.GetLengthPrefixed(oid) || !reader.GetLengthPrefixed(type_name)) {
-    return false;
-  }
-  *token = {};
-  reader.GetLengthPrefixed(token);
-  return true;
 }
 
 }  // namespace lo::clusterd

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/microshard.h"
 #include "common/status.h"
 #include "coord/coordinator.h"
 
@@ -74,12 +75,6 @@ struct LoadReport {
 std::string EncodeLoadReport(const LoadReport& report);
 Status DecodeLoadReport(std::string_view payload, LoadReport* report);
 
-// coord.place: publish a directory entry (same payload as the sim
-// coordinator's "coord.place": lp oid | varint32 shard).
-std::string EncodePlace(std::string_view oid, coord::ShardId shard);
-bool DecodePlace(std::string_view payload, std::string_view* oid,
-                 coord::ShardId* shard);
-
 // clusterd.migrate / shard.migrate: move one object to `target_shard`.
 // The coordinator resolves the target address; the source server
 // receives the full triple. request: lp oid | varint32 shard | lp addr.
@@ -89,21 +84,11 @@ bool DecodeMigrate(std::string_view payload, std::string_view* oid,
                    coord::ShardId* target_shard,
                    std::string_view* target_address);
 
-// shard.install: commit an extracted object on the receiving server;
-// cluster::EncodeInstall (cluster/microshard.h) is its payload, shared
-// with the sim node.
-
-// lambda.invoke / lambda.create payloads (shared by clusterd::Client and
-// clusterd::ServerNode; the token is optional on the wire so
-// node-to-node forwards can omit it).
-std::string EncodeInvoke(std::string_view oid, std::string_view method,
-                         std::string_view argument, std::string_view token);
-bool DecodeInvoke(std::string_view payload, std::string_view* oid,
-                  std::string_view* method, std::string_view* argument,
-                  std::string_view* token);
-std::string EncodeCreate(std::string_view oid, std::string_view type_name,
-                         std::string_view token);
-bool DecodeCreate(std::string_view payload, std::string_view* oid,
-                  std::string_view* type_name, std::string_view* token);
+// The shard.install, lambda.invoke and lambda.create payloads are
+// cluster::EncodeInstall, EncodeInvoke and EncodeCreate
+// (cluster/microshard.h), and coord.place's is coord::EncodePlace: one
+// codec each, shared with the sim deployment. EncodeInvoke keeps its
+// clusterd name too, because perfbench builds its requests with it.
+using cluster::EncodeInvoke;
 
 }  // namespace lo::clusterd

@@ -16,6 +16,15 @@ constexpr char kTagPlace = 'P';
 constexpr char kTagNoop = 'N';
 constexpr char kTagHashShards = 'H';
 
+/// Storage nodes heartbeat, and the leader checks for expired nodes, at
+/// this cadence; a node silent for kNodeTimeout is declared dead.
+constexpr sim::Duration kHeartbeatInterval = sim::Millis(10);
+constexpr sim::Duration kNodeTimeout = sim::Millis(60);
+/// Each coordinator probes its lower-id peers at this cadence and takes
+/// over leadership once every one of them missed this many probes.
+constexpr sim::Duration kLeaderProbeInterval = sim::Millis(25);
+constexpr int kLeaderProbeFailures = 4;
+
 }  // namespace
 
 bool ShardConfig::Contains(sim::NodeId node) const {
@@ -46,16 +55,26 @@ std::string CmdNodeAlive(sim::NodeId node) {
 }
 
 std::string CmdPlaceObject(std::string_view oid, ShardId shard) {
-  std::string out(1, kTagPlace);
-  PutLengthPrefixed(&out, oid);
-  PutVarint32(&out, shard);
-  return out;
+  return std::string(1, kTagPlace) + EncodePlace(oid, shard);
 }
 
 std::string CmdSetHashShards(uint32_t hash_shards) {
   std::string out(1, kTagHashShards);
   PutVarint32(&out, hash_shards);
   return out;
+}
+
+std::string EncodePlace(std::string_view oid, ShardId shard) {
+  std::string out;
+  PutLengthPrefixed(&out, oid);
+  PutVarint32(&out, shard);
+  return out;
+}
+
+bool DecodePlace(std::string_view payload, std::string_view* oid,
+                 ShardId* shard) {
+  Reader reader{payload};
+  return reader.GetLengthPrefixed(oid) && reader.GetVarint32(shard);
 }
 
 Status ClusterState::Apply(std::string_view command) {
@@ -92,8 +111,8 @@ Status ClusterState::Apply(std::string_view command) {
     }
     case kTagPlace: {
       std::string_view oid;
-      uint32_t shard = 0;
-      if (!reader.GetLengthPrefixed(&oid) || !reader.GetVarint32(&shard)) {
+      ShardId shard = 0;
+      if (!DecodePlace(reader.rest(), &oid, &shard)) {
         return Status::Corruption("bad Place");
       }
       directory[std::string(oid)] = shard;
@@ -181,11 +200,9 @@ Result<ClusterState> ClusterState::Decode(std::string_view bytes) {
 // ---------------------------------------------------------- CoordinatorNode
 
 CoordinatorNode::CoordinatorNode(sim::RpcEndpoint* rpc,
-                                 std::vector<sim::NodeId> group,
-                                 CoordinatorOptions options)
+                                 std::vector<sim::NodeId> group)
     : rpc_(rpc),
       group_(std::move(group)),
-      options_(options),
       acceptors_(rpc),
       proposer_(rpc, group_) {
   std::sort(group_.begin(), group_.end());
@@ -281,10 +298,9 @@ sim::Task<Result<std::string>> CoordinatorNode::HandleGetConfig(sim::NodeId,
 sim::Task<Result<std::string>> CoordinatorNode::HandlePlace(sim::NodeId,
                                                             std::string payload) {
   if (!is_leader_) co_return Status::NotPrimary("ask the leader");
-  Reader reader{payload};
   std::string_view oid;
-  uint32_t shard = 0;
-  if (!reader.GetLengthPrefixed(&oid) || !reader.GetVarint32(&shard)) {
+  ShardId shard = 0;
+  if (!DecodePlace(payload, &oid, &shard)) {
     co_return Status::Corruption("bad place request");
   }
   auto slot = co_await ProposeCommand(CmdPlaceObject(oid, shard));
@@ -302,16 +318,16 @@ sim::Task<void> CoordinatorNode::LeaderProbeLoop() {
   // unreachable repeatedly, the next-lowest id takes over leadership.
   std::map<sim::NodeId, int> failures;
   for (;;) {
-    co_await rpc_->sim().Sleep(options_.leader_probe_interval);
+    co_await rpc_->sim().Sleep(kLeaderProbeInterval);
     if (is_leader_) continue;
     for (sim::NodeId node : group_) {
       if (node >= rpc_->node()) break;
       auto reply = co_await rpc_->Call(node, "coord.ping", "",
-                                       options_.leader_probe_interval);
+                                       kLeaderProbeInterval);
       if (reply.ok()) {
         failures[node] = 0;
         coord_suspected_.erase(node);
-      } else if (++failures[node] >= options_.leader_probe_failures) {
+      } else if (++failures[node] >= kLeaderProbeFailures) {
         coord_suspected_.insert(node);
       }
     }
@@ -329,13 +345,13 @@ sim::Task<void> CoordinatorNode::LeaderProbeLoop() {
 
 sim::Task<void> CoordinatorNode::FailureDetectionLoop() {
   for (;;) {
-    co_await rpc_->sim().Sleep(options_.heartbeat_interval);
+    co_await rpc_->sim().Sleep(kHeartbeatInterval);
     if (!is_leader_) continue;
     sim::Time now = rpc_->sim().Now();
     std::vector<sim::NodeId> expired;
     for (const auto& [node, last_seen] : last_heartbeat_) {
       if (state_.dead.contains(node)) continue;
-      if (now - last_seen > options_.node_timeout) expired.push_back(node);
+      if (now - last_seen > kNodeTimeout) expired.push_back(node);
     }
     for (sim::NodeId node : expired) {
       co_await HandleNodeFailure(node);
@@ -395,18 +411,19 @@ CoordClient::CoordClient(sim::RpcEndpoint* rpc, std::vector<sim::NodeId> coordin
   });
 }
 
-void CoordClient::Start(sim::Duration heartbeat_interval) {
+void CoordClient::Start() {
   if (started_) return;
   started_ = true;
-  sim::Detach(HeartbeatLoop(heartbeat_interval));
+  sim::Detach(HeartbeatLoop());
 }
 
-sim::Task<void> CoordClient::HeartbeatLoop(sim::Duration interval) {
+sim::Task<void> CoordClient::HeartbeatLoop() {
   uint64_t seen_version = 0;
   for (;;) {
     uint64_t latest = seen_version;
     for (sim::NodeId coordinator : coordinators_) {
-      auto reply = co_await rpc_->Call(coordinator, "coord.heartbeat", "", interval);
+      auto reply = co_await rpc_->Call(coordinator, "coord.heartbeat", "",
+                                       kHeartbeatInterval);
       if (!reply.ok()) continue;
       Reader reader{*reply};
       uint64_t version = 0;
@@ -417,7 +434,7 @@ sim::Task<void> CoordClient::HeartbeatLoop(sim::Duration interval) {
       auto state = co_await FetchConfig();
       if (state.ok() && on_config_) on_config_(*state);
     }
-    co_await rpc_->sim().Sleep(interval);
+    co_await rpc_->sim().Sleep(kHeartbeatInterval);
   }
 }
 

@@ -60,20 +60,18 @@ std::string CmdNodeAlive(sim::NodeId node);
 std::string CmdPlaceObject(std::string_view oid, ShardId shard);
 std::string CmdSetHashShards(uint32_t hash_shards);
 
-struct CoordinatorOptions {
-  sim::Duration heartbeat_interval = sim::Millis(10);
-  sim::Duration node_timeout = sim::Millis(60);
-  sim::Duration leader_probe_interval = sim::Millis(25);
-  int leader_probe_failures = 4;
-};
+/// coord.place request, to the sim and the real coordinator alike:
+/// lp oid | varint32 shard.
+std::string EncodePlace(std::string_view oid, ShardId shard);
+bool DecodePlace(std::string_view payload, std::string_view* oid,
+                 ShardId* shard);
 
 /// One member of the coordinator replica group. All members host
 /// acceptors; the active leader (lowest live id) runs failure detection
 /// and serves config queries/mutations.
 class CoordinatorNode {
  public:
-  CoordinatorNode(sim::RpcEndpoint* rpc, std::vector<sim::NodeId> group,
-                  CoordinatorOptions options = {});
+  CoordinatorNode(sim::RpcEndpoint* rpc, std::vector<sim::NodeId> group);
 
   /// Installs the bootstrap configuration (leader only; proposes it).
   sim::Task<Status> Bootstrap(ClusterState initial);
@@ -120,7 +118,6 @@ class CoordinatorNode {
 
   sim::RpcEndpoint* rpc_;
   std::vector<sim::NodeId> group_;  // coordinator replica group, sorted
-  CoordinatorOptions options_;
   AcceptorHost acceptors_;
   Proposer proposer_;
   bool is_leader_ = false;
@@ -141,14 +138,15 @@ class CoordClient {
   CoordClient(sim::RpcEndpoint* rpc, std::vector<sim::NodeId> coordinators,
               ConfigCallback on_config);
 
-  void Start(sim::Duration heartbeat_interval = sim::Millis(10));
+  /// Starts heartbeating every kHeartbeatInterval (coordinator.cc).
+  void Start();
 
   /// Pulls the current config from whichever coordinator answers.
   sim::Task<Result<ClusterState>> FetchConfig();
 
  private:
   sim::Task<Result<std::string>> HandleConfigPush(sim::NodeId from, std::string payload);
-  sim::Task<void> HeartbeatLoop(sim::Duration interval);
+  sim::Task<void> HeartbeatLoop();
 
   sim::RpcEndpoint* rpc_;
   std::vector<sim::NodeId> coordinators_;

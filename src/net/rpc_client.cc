@@ -19,11 +19,18 @@ namespace {
 
 /// Iovecs per writev; matches the server's flush batch width.
 constexpr int kMaxIovecs = 64;
+/// Deadline on establishing a TCP connection.
+constexpr int64_t kConnectTimeoutUs = 1'000'000;
+/// Reconnect backoff: doubles per consecutive failure (±25% jitter from
+/// a seeded RNG) up to the max; resets on success.
+constexpr int64_t kReconnectBackoffUs = 10'000;
+constexpr int64_t kReconnectBackoffMaxUs = 1'000'000;
+constexpr uint64_t kJitterSeed = 1;
 
 }  // namespace
 
 RpcClient::RpcClient(RpcClientOptions options)
-    : options_(std::move(options)), rng_(options_.seed) {
+    : options_(std::move(options)), rng_(kJitterSeed) {
   if (options_.metrics_registry != nullptr) RegisterMetrics();
   loop_thread_ = std::thread([this] { loop_.Run(); });
 }
@@ -162,7 +169,7 @@ void RpcClient::StartConnect(Connection* conn) {
   loop_.AddFd(conn->fd, EPOLLOUT | EPOLLIN,
               [this, address](uint32_t events) { ConnReady(address, events); });
   conn->connect_timer =
-      loop_.AddTimer(options_.connect_timeout_us, [this, address] {
+      loop_.AddTimer(kConnectTimeoutUs, [this, address] {
         auto it = conns_.find(address);
         if (it == conns_.end()) return;
         Connection* c = it->second.get();
@@ -185,9 +192,9 @@ void RpcClient::ConnectOutcome(Connection* conn, Status status) {
 void RpcClient::ScheduleReconnect(Connection* conn) {
   conn->state = ConnState::kBackoff;
   if (conn->pending.empty()) return;  // re-dial lazily on the next call
-  int64_t base = conn->backoff_us == 0 ? options_.reconnect_backoff_us
-                                       : std::min(conn->backoff_us * 2,
-                                                  options_.reconnect_backoff_max_us);
+  int64_t base = conn->backoff_us == 0
+                     ? kReconnectBackoffUs
+                     : std::min(conn->backoff_us * 2, kReconnectBackoffMaxUs);
   conn->backoff_us = base;
   // ±25% jitter, mirroring the sim client's retry pause (cluster/client).
   auto pause = static_cast<int64_t>(static_cast<double>(base) *

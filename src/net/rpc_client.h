@@ -14,8 +14,10 @@
 // connection drops, calls already on the wire fail with Unavailable
 // (the caller cannot know whether they executed — retry with an
 // idempotency token, see clusterd::Client) and the client re-dials
-// with exponential backoff + jitter. Queued-but-unsent calls survive a reconnect:
-// their own deadline is the only bound on how long they wait.
+// with exponential backoff + jitter (rpc_client.cc's constants: a 1 s
+// connect deadline, a backoff from 10 ms doubling to 1 s). Queued-but-
+// unsent calls survive a reconnect: their own deadline is the only bound
+// on how long they wait.
 #pragma once
 
 #include <atomic>
@@ -38,14 +40,6 @@
 namespace lo::net {
 
 struct RpcClientOptions {
-  /// Deadline on establishing a TCP connection.
-  int64_t connect_timeout_us = 1'000'000;
-  /// Reconnect backoff: doubles per consecutive failure (±25% jitter
-  /// from a seeded RNG) up to the max; resets on success.
-  int64_t reconnect_backoff_us = 10'000;
-  int64_t reconnect_backoff_max_us = 1'000'000;
-  uint64_t seed = 1;  // jitter RNG
-  size_t max_frame_bytes = kMaxFrameBytes;
   /// Observability (nullptr = off). Counters register under `node_label`
   /// as net.client.*; sampled calls get "rpc.<service>" spans like the
   /// sim transport. The tracer is only touched on the loop thread.

@@ -1,7 +1,6 @@
 #include "net/rpc_server.h"
 
 #include <errno.h>
-#include <stdlib.h>
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -22,15 +21,6 @@ namespace {
 /// two parts each) while staying far under IOV_MAX.
 constexpr int kMaxIovecs = 64;
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = strtol(value, &end, 10);
-  if (end == nullptr || *end != '\0') return fallback;
-  return static_cast<int>(parsed);
-}
-
 }  // namespace
 
 RpcServer::RpcServer(RpcServerOptions options) : options_(std::move(options)) {}
@@ -44,10 +34,7 @@ void RpcServer::Handle(std::string service, Handler handler) {
 
 Status RpcServer::Start() {
   LO_CHECK_MSG(!started_, "Start() called twice");
-  int net_threads = options_.net_threads > 0 ? options_.net_threads
-                                             : EnvInt("LO_NET_THREADS", 1);
-  net_threads = std::clamp(net_threads, 1, 64);
-
+  int net_threads = std::clamp(options_.net_threads, 1, 64);
   reactors_.reserve(static_cast<size_t>(net_threads));
   for (int i = 0; i < net_threads; ++i) {
     auto reactor = std::make_unique<Reactor>();
@@ -55,56 +42,34 @@ Status RpcServer::Start() {
     reactors_.push_back(std::move(reactor));
   }
 
-  // Reactor 0's listener. With several reactors, try SO_REUSEPORT so
-  // every reactor can bind its own; a kernel that refuses drops us to
-  // the single-acceptor round-robin fallback.
-  reuseport_sharding_ = net_threads > 1;
-  auto listen_fd = ListenTcp(options_.bind_address, options_.port,
-                             reuseport_sharding_);
-  if (!listen_fd.ok() && reuseport_sharding_) {
-    reuseport_sharding_ = false;
-    listen_fd = ListenTcp(options_.bind_address, options_.port, false);
-  }
-  if (!listen_fd.ok()) {
-    reactors_.clear();
-    return listen_fd.status();
-  }
-  reactors_[0]->listen_fd = *listen_fd;
-  auto port = LocalPort(*listen_fd);
-  if (!port.ok()) {
-    close(*listen_fd);
-    reactors_.clear();
-    return port.status();
-  }
-  port_ = *port;
-
-  if (reuseport_sharding_) {
-    for (int i = 1; i < net_threads; ++i) {
-      auto fd = ListenTcp(options_.bind_address, port_, true);
-      if (!fd.ok()) {
-        // Mid-way failure: keep reactor 0's listener, shed the rest and
-        // deal connections round-robin instead.
-        LO_WARN << "SO_REUSEPORT listener " << i
-                << " failed, falling back to round-robin accept: "
-                << fd.status().ToString();
-        for (int j = 1; j < i; ++j) {
-          close(reactors_[j]->listen_fd);
-          reactors_[j]->listen_fd = -1;
-        }
-        reuseport_sharding_ = false;
-        break;
+  // Every reactor binds its own SO_REUSEPORT listener on one port: the
+  // first picks it (an ephemeral one for port 0), the rest join it. A
+  // lone listener leaves SO_REUSEPORT off, so no other process can
+  // share its port.
+  port_ = options_.port;
+  for (auto& reactor : reactors_) {
+    auto fd = ListenTcp(options_.bind_address, port_, net_threads > 1);
+    Status status = fd.status();
+    if (fd.ok()) {
+      reactor->listen_fd = *fd;
+      auto port = LocalPort(*fd);
+      status = port.status();
+      if (port.ok()) port_ = *port;
+    }
+    if (!status.ok()) {
+      for (auto& bound : reactors_) {
+        if (bound->listen_fd >= 0) close(bound->listen_fd);
       }
-      reactors_[i]->listen_fd = *fd;
+      reactors_.clear();
+      return status;
     }
   }
 
   // Safe off-loop: no reactor thread exists yet.
   for (auto& reactor_ptr : reactors_) {
     Reactor* reactor = reactor_ptr.get();
-    if (reactor->listen_fd >= 0) {
-      reactor->loop.AddFd(reactor->listen_fd, EPOLLIN,
-                          [this, reactor](uint32_t) { AcceptReady(reactor); });
-    }
+    reactor->loop.AddFd(reactor->listen_fd, EPOLLIN,
+                        [this, reactor](uint32_t) { AcceptReady(reactor); });
     reactor->loop.SetEndOfIteration([this, reactor] { FlushDirty(reactor); });
   }
   if (options_.metrics_registry != nullptr) RegisterMetrics();
@@ -185,21 +150,7 @@ void RpcServer::AcceptReady(Reactor* reactor) {
       LO_WARN << "accept failed: " << strerror(errno);
       return;
     }
-    if (reuseport_sharding_ || reactors_.size() == 1) {
-      AdoptFd(reactor, fd);
-      continue;
-    }
-    // Fallback sharding: the lone acceptor deals connections round-robin
-    // and hands the bare fd to the owning reactor's loop.
-    uint32_t target_index =
-        round_robin_.fetch_add(1, std::memory_order_relaxed) %
-        static_cast<uint32_t>(reactors_.size());
-    Reactor* target = reactors_[target_index].get();
-    if (target == reactor) {
-      AdoptFd(reactor, fd);
-    } else {
-      target->loop.RunInLoop([this, target, fd] { AdoptFd(target, fd); });
-    }
+    AdoptFd(reactor, fd);
   }
 }
 

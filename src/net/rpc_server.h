@@ -7,9 +7,8 @@
 // connection it accepted: accept, frame decode (CRC verified, corrupt
 // streams are closed), request dispatch, and response writes all happen
 // on the owning reactor thread, so connection state needs no locking
-// and a response never hops between transport threads. When
-// SO_REUSEPORT sharding is unavailable, reactor 0 runs the lone
-// acceptor and deals accepted fds round-robin to its peers.
+// and a response never hops between transport threads. A listener that
+// fails to bind fails Start() with its error.
 //
 // Responses coalesce: a completed response appends to the connection's
 // iovec send queue and the reactor flushes every dirty connection with
@@ -59,10 +58,8 @@ struct RpcServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the real one back with port().
   uint16_t port = 0;
-  size_t max_frame_bytes = kMaxFrameBytes;
-  /// Reactor threads (one EventLoop + listener each). 0 reads
-  /// LO_NET_THREADS, defaulting to 1.
-  int net_threads = 0;
+  /// Reactor threads (one EventLoop + listener each).
+  int net_threads = 1;
   /// Shed requests once a connection's unsent responses exceed this.
   size_t max_conn_backlog_bytes = 8u << 20;
   /// >0: SO_SNDBUF for accepted sockets. Tests use the kernel minimum
@@ -117,9 +114,6 @@ class RpcServer {
   uint16_t port() const { return port_; }
   /// Reactor threads actually running (after Start).
   int reactors() const { return static_cast<int>(reactors_.size()); }
-  /// True when each reactor has its own SO_REUSEPORT listener; false in
-  /// the single-acceptor round-robin fallback.
-  bool reuseport_sharding() const { return reuseport_sharding_; }
 
   struct Stats {
     std::atomic<uint64_t> connections_accepted{0};
@@ -191,8 +185,6 @@ class RpcServer {
   RpcServerOptions options_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   bool started_ = false;
-  bool reuseport_sharding_ = false;
-  std::atomic<uint32_t> round_robin_{0};  // fallback acceptor's next target
   uint16_t port_ = 0;
   std::unordered_map<std::string, Handler> handlers_;
   Stats stats_;

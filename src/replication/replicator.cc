@@ -8,6 +8,10 @@
 namespace lo::replication {
 namespace {
 
+/// Ack timeout for one peer before the batch is considered failed (the
+/// coordinator will reconfigure; callers retry).
+constexpr sim::Duration kAckTimeout = sim::Millis(50);
+
 std::string EncodeShipment(ShardId shard, uint64_t epoch, uint64_t seq,
                            const std::string& rep) {
   std::string out;
@@ -274,7 +278,7 @@ sim::Task<Status> Replicator::ReplicateAndApply(ShardId shard,
     // node below this one.
     auto ack = co_await rpc_->Call(
         state.peers.front(), "repl.chain", payload,
-        ack_timeout * static_cast<int64_t>(state.peers.size()), trace);
+        kAckTimeout * static_cast<int64_t>(state.peers.size()), trace);
     if (!ack.ok()) co_return ack.status();
     uint64_t& chain_applied = state.peer_applied[state.peers.front()];
     chain_applied = std::max(chain_applied, DecodeAck(*ack));
@@ -288,7 +292,7 @@ sim::Task<Status> Replicator::ReplicateAndApply(ShardId shard,
   std::vector<sim::Future<Result<std::string>>> acks;
   acks.reserve(peers.size());
   for (sim::NodeId peer : peers) {
-    acks.emplace_back(rpc_->Call(peer, "repl.apply", payload, ack_timeout, trace));
+    acks.emplace_back(rpc_->Call(peer, "repl.apply", payload, kAckTimeout, trace));
   }
   Status failure = Status::OK();
   for (size_t i = 0; i < acks.size(); i++) {
@@ -390,7 +394,7 @@ sim::Task<Result<std::string>> Replicator::HandleChain(sim::NodeId,
     sim::NodeId successor = state.peers.front();
     auto ack = co_await rpc_->Call(
         successor, "repl.chain", payload,
-        ack_timeout * static_cast<int64_t>(state.peers.size()), trace);
+        kAckTimeout * static_cast<int64_t>(state.peers.size()), trace);
     if (!ack.ok()) co_return ack.status();
     uint64_t downstream = DecodeAck(*ack);
     uint64_t& recorded = state.peer_applied[successor];

@@ -166,10 +166,6 @@ class Replicator {
   };
   const Metrics& metrics() const { return metrics_; }
 
-  /// Ack timeout for one peer before the batch is considered failed
-  /// (the coordinator will reconfigure; callers retry).
-  sim::Duration ack_timeout = sim::Millis(50);
-
  private:
   struct ShardState {
     uint64_t epoch = 0;

@@ -7,6 +7,14 @@
 #include "common/log.h"
 
 namespace lo::runtime {
+namespace {
+
+/// Entries of the consistent result cache.
+constexpr size_t kResultCacheCapacity = 4096;
+/// Fuel equivalent charged for native methods (they are not metered).
+constexpr uint64_t kNativeFuelEstimate = 2000;
+
+}  // namespace
 
 Runtime::Runtime(Clock clock, storage::DB* db, const TypeRegistry* types,
                  RuntimeOptions options)
@@ -14,7 +22,7 @@ Runtime::Runtime(Clock clock, storage::DB* db, const TypeRegistry* types,
       db_(db),
       types_(types),
       options_(options),
-      cache_(options.result_cache_capacity) {
+      cache_(kResultCacheCapacity) {
   size_t lanes = std::max<size_t>(1, options_.lanes);
   lanes_.reserve(lanes);
   for (size_t i = 0; i < lanes; ++i) lanes_.push_back(std::make_unique<AsyncMutex>());
@@ -225,7 +233,7 @@ sim::Task<Result<std::string>> Runtime::RunMethod(const MethodImpl& impl,
   tenant::TenantRegistry* tenants =
       tenant != 0 ? options_.tenants : nullptr;
   if (impl.native) {
-    *fuel = options_.native_fuel_estimate;
+    *fuel = kNativeFuelEstimate;
     metrics_.fuel_executed += *fuel;
     if (tenants != nullptr) {
       // Native methods are not metered instruction-by-instruction; charge
@@ -235,7 +243,7 @@ sim::Task<Result<std::string>> Runtime::RunMethod(const MethodImpl& impl,
     }
     co_return co_await impl.native(ctx, std::move(argument));
   }
-  vm::VmLimits limits = options_.vm_limits;
+  vm::VmLimits limits;
   if (tenants != nullptr) {
     // Debit the tenant's window as the VM burns fuel: a mid-invocation
     // exhaustion traps the invocation (buffered writes are discarded by

@@ -30,7 +30,6 @@
 namespace lo::runtime {
 
 struct RuntimeOptions {
-  vm::VmLimits vm_limits;
   /// Execution lanes: invocations are scheduled on lane
   /// `hash(object_id) % lanes`. Distinct objects run concurrently (up to
   /// `lanes` at once, modeling a bounded worker pool), while same-object
@@ -39,9 +38,6 @@ struct RuntimeOptions {
   /// fully serial runtime.
   size_t lanes = 8;
   bool enable_result_cache = true;
-  size_t result_cache_capacity = 4096;
-  /// Fuel equivalent charged for native methods (they are not metered).
-  uint64_t native_fuel_estimate = 2000;
   /// Span recorder for vm_exec / commit phases; nullptr disables tracing.
   obs::Tracer* tracer = nullptr;
   /// Node label stamped on recorded spans (the hosting node's id).

@@ -44,7 +44,7 @@ void GroupCommitter::CommitterLoop() {
     // Empty here means stop_: everything submitted before shutdown has
     // drained, and Commit() rejects new arrivals.
     if (queue_.empty()) return;
-    auto group = CommitGroup<Pending>::Seal(&queue_, options_.max_batch_bytes);
+    auto group = CommitGroup<Pending>::Seal(&queue_, kMaxCommitGroupBytes);
     in_flight_ += group.members.size();
 
     lock.unlock();

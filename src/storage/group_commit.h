@@ -51,9 +51,9 @@ struct CommitGroup {
   size_t bytes = 0;             // the members' batch sizes, summed
 
   /// Seals the next group off the front of a non-empty `queue`: members
-  /// in arrival order up to `max_batch_bytes`, always at least one so an
+  /// in arrival order up to `max_group_bytes`, always at least one so an
   /// oversized single batch still commits.
-  static CommitGroup Seal(std::deque<Member>* queue, size_t max_batch_bytes) {
+  static CommitGroup Seal(std::deque<Member>* queue, size_t max_group_bytes) {
     CommitGroup group;
     do {
       group.bytes += queue->front().batch.ByteSize();
@@ -61,7 +61,7 @@ struct CommitGroup {
       group.members.push_back(std::move(queue->front()));
       queue->pop_front();
     } while (!queue->empty() &&
-             group.bytes + queue->front().batch.ByteSize() <= max_batch_bytes);
+             group.bytes + queue->front().batch.ByteSize() <= max_group_bytes);
     return group;
   }
 
@@ -77,9 +77,11 @@ struct CommitGroup {
   }
 };
 
+/// A group is sealed once its combined payload reaches this size (the
+/// default of the sim node's gc_max_batch_bytes, which A8 sweeps).
+inline constexpr size_t kMaxCommitGroupBytes = 1 << 20;
+
 struct GroupCommitterOptions {
-  /// A group is sealed once its combined payload reaches this size.
-  size_t max_batch_bytes = 1 << 20;
   /// Invoked on the committer thread after each group's DB::Write
   /// succeeds, with the group's commit sequence (1, 2, ...) and the
   /// combined batch — *before* the group's waiters are released, so by

@@ -56,7 +56,7 @@ struct TenantConfig {
   uint32_t max_inflight = 0;     // concurrent admitted requests; 0 = unlimited
 };
 
-/// Parses the LO_TENANTS / --tenants spec:
+/// Parses the --tenants spec of lambdastore-server:
 ///   "1:weight=4,rate=2000,burst=200,fuel=5000000,inflight=64;2:weight=1"
 /// Tenant entries are ';'-separated, keys ','-separated. Unknown keys and
 /// malformed entries are errors (a silently-dropped limit is a QoS hole).

@@ -19,6 +19,7 @@
 #include "retwis/driver.h"
 #include "retwis/retwis.h"
 #include "retwis/workload.h"
+#include "sim/calibration.h"
 
 namespace lo::cluster {
 namespace {
@@ -842,7 +843,7 @@ TEST(WalGroupCommitterTest, BusyDeviceGroupsCommitsAndFailsOnlyTheFailedGroup) {
         co_return group_records.size() == 2 ? Status::IOError("sync failed")
                                             : Status::OK();
       },
-      /*max_batch_bytes=*/1 << 20);
+      /*max_group_bytes=*/1 << 20);
 
   std::map<std::string, Status> results;
   auto submit = [&](std::string key, sim::Duration at) {
@@ -855,7 +856,7 @@ TEST(WalGroupCommitterTest, BusyDeviceGroupsCommitsAndFailsOnlyTheFailedGroup) {
       (*results)[key] = co_await committer->Commit(0, std::move(batch), {});
     }(&sim, &committer, std::move(key), at, &results));
   };
-  const sim::Duration sync = WalGroupCommitter::kSyncLatency;
+  const sim::Duration sync = sim::kLogSyncLatency;
   submit("a", 0);              // group 1: the device is idle
   submit("b", sync / 4);       // b, c, d arrive during group 1's sync
   submit("c", sync / 2);

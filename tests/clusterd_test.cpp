@@ -6,11 +6,7 @@
 // server's read path, result-cache invalidation by nested writes, tenant
 // admission, and the SIGTERM graceful-drain contract of the server
 // binary.
-#include <poll.h>
 #include <signal.h>
-#include <spawn.h>
-#include <string.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -24,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/child_process.h"
 #include "clusterd/client.h"
 #include "clusterd/wire.h"
 #include "common/coding.h"
@@ -31,8 +28,6 @@
 #include "net/rpc_client.h"
 #include "replication/replicator.h"
 #include "retwis/retwis.h"
-
-extern char** environ;
 
 namespace lo::clusterd {
 namespace {
@@ -55,86 +50,13 @@ std::string CoordinatorBinary() {
 #endif
 }
 
-// A spawned cluster process. SIGKILLed + reaped on destruction unless
-// already waited for.
-struct Proc {
-  pid_t pid = -1;
-  int out_fd = -1;
-  uint16_t port = 0;
-
-  Proc() = default;
-  Proc(Proc&& other) noexcept { *this = std::move(other); }
-  Proc& operator=(Proc&& other) noexcept {
-    std::swap(pid, other.pid);
-    std::swap(out_fd, other.out_fd);
-    std::swap(port, other.port);
-    return *this;
-  }
-  ~Proc() { Kill(); }
-
-  void Kill() {
-    if (out_fd >= 0) {
-      close(out_fd);
-      out_fd = -1;
-    }
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      pid = -1;
-    }
-  }
-  /// Waits for exit (up to ~10s) and returns the raw waitpid status.
-  int Wait() {
-    int status = -1;
-    for (int i = 0; i < 200; i++) {
-      if (waitpid(pid, &status, WNOHANG) == pid) {
-        pid = -1;
-        return status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return -1;
-  }
-  std::string address() const { return "127.0.0.1:" + std::to_string(port); }
-};
+using Proc = bench::ChildProcess;
 
 Proc SpawnDaemon(const std::string& binary, std::vector<std::string> args) {
   args.insert(args.begin(), binary);
-  int out_pipe[2];
-  EXPECT_EQ(pipe(out_pipe), 0);
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
-  posix_spawn_file_actions_addclose(&actions, out_pipe[0]);
-  posix_spawn_file_actions_addclose(&actions, out_pipe[1]);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  Proc proc;
-  int rc = posix_spawn(&proc.pid, args[0].c_str(), &actions, nullptr,
-                       argv.data(), environ);
-  posix_spawn_file_actions_destroy(&actions);
-  close(out_pipe[1]);
-  EXPECT_EQ(rc, 0) << "posix_spawn " << args[0] << ": " << strerror(rc);
-  proc.out_fd = out_pipe[0];
-
-  std::string out;
-  while (true) {
-    size_t pos = out.find("READY port=");
-    if (pos != std::string::npos && out.find('\n', pos) != std::string::npos) {
-      proc.port = static_cast<uint16_t>(
-          std::atoi(out.c_str() + pos + strlen("READY port=")));
-      return proc;
-    }
-    struct pollfd pfd = {proc.out_fd, POLLIN, 0};
-    EXPECT_GT(poll(&pfd, 1, 30'000), 0) << "no READY within 30s";
-    char buf[256];
-    ssize_t n = read(proc.out_fd, buf, sizeof(buf));
-    EXPECT_GT(n, 0) << "process exited before READY";
-    if (n <= 0) return proc;
-    out.append(buf, static_cast<size_t>(n));
-  }
+  auto spawned = Proc::Spawn(std::move(args));
+  EXPECT_TRUE(spawned.ok()) << spawned.status().ToString();
+  return spawned.ok() ? std::move(*spawned) : Proc();
 }
 
 // A running cluster: one coordinator + N servers, fresh (unseeded) DBs.
@@ -169,7 +91,7 @@ struct Cluster {
   Status Migrate(net::RpcClient* rpc, const std::string& oid,
                  coord::ShardId target_shard) {
     auto reply = rpc->CallSync(coordinator.address(), kSvcMigrate,
-                               EncodePlace(oid, target_shard), 10'000'000);
+                               coord::EncodePlace(oid, target_shard), 10'000'000);
     return reply.ok() ? Status::OK() : reply.status();
   }
 };
@@ -559,7 +481,7 @@ TEST(ClusterdServer, SigtermDrainsAndExitsCleanly) {
     ASSERT_TRUE(
         client.Invoke("user/1", "store_post", PostBlob("a", 1, "durable")).ok());
   }
-  ASSERT_EQ(kill(server.pid, SIGTERM), 0);
+  ASSERT_EQ(kill(server.pid(), SIGTERM), 0);
   int status = server.Wait();
   ASSERT_TRUE(WIFEXITED(status)) << "status=" << status;
   EXPECT_EQ(WEXITSTATUS(status), 0) << "graceful drain must exit 0";

@@ -11,7 +11,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <signal.h>
-#include <spawn.h>
 #include <stdio.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -29,10 +28,9 @@
 #include <thread>
 #include <vector>
 
-extern char** environ;
-
 #include <sys/uio.h>
 
+#include "bench/child_process.h"
 #include "clusterd/client.h"
 #include "common/coding.h"
 #include "common/rng.h"
@@ -983,63 +981,19 @@ std::string ServerBinaryPath() {
 #endif
 }
 
-/// Kills the spawned server on any early test exit (a failed ASSERT
-/// would otherwise leak the child; its inherited stderr then wedges
-/// ctest's output pipe forever).
-struct SpawnGuard {
-  pid_t pid = -1;
-  ~SpawnGuard() {
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-  }
-  /// Hands ownership back for a normal waitpid.
-  pid_t Release() {
-    pid_t p = pid;
-    pid = -1;
-    return p;
-  }
-};
-
 TEST(MultiProcess, LoopbackRetwisSlice) {
   std::string binary = ServerBinaryPath();
   ASSERT_FALSE(binary.empty()) << "set LO_SERVER_BIN";
 
-  // Spawn the server with a pipe on its stdout to parse "READY port=N".
-  int out_pipe[2];
-  ASSERT_EQ(pipe(out_pipe), 0);
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
-  posix_spawn_file_actions_addclose(&actions, out_pipe[0]);
-  posix_spawn_file_actions_addclose(&actions, out_pipe[1]);
-  std::string arg_port = "--port=0";
-  std::string arg_users = "--seed-users=100";
-  char* argv[] = {binary.data(), arg_port.data(), arg_users.data(), nullptr};
-  pid_t pid = -1;
-  ASSERT_EQ(posix_spawn(&pid, binary.c_str(), &actions, nullptr, argv, environ),
-            0)
-      << "spawning " << binary;
-  posix_spawn_file_actions_destroy(&actions);
-  ::close(out_pipe[1]);
-  SpawnGuard guard{pid};
-
-  // Read the READY line.
-  std::string ready;
-  char c;
-  while (ready.find('\n') == std::string::npos &&
-         ::read(out_pipe[0], &c, 1) == 1) {
-    ready.push_back(c);
-  }
-  ::close(out_pipe[0]);
-  ASSERT_EQ(ready.rfind("READY port=", 0), 0u) << "got: " << ready;
-  uint16_t port = static_cast<uint16_t>(std::stoi(ready.substr(11)));
-  ASSERT_GT(port, 0);
+  auto spawned =
+      bench::ChildProcess::Spawn({binary, "--port=0", "--seed-users=100"});
+  ASSERT_TRUE(spawned.ok()) << spawned.status().ToString();
+  bench::ChildProcess server = std::move(*spawned);
+  ASSERT_GT(server.port(), 0);
 
   {
     RpcClient rpc;
-    const std::string address = "127.0.0.1:" + std::to_string(port);
+    const std::string address = server.address();
     ASSERT_TRUE(rpc.CallSync(address, "ping", "ping", 1'000'000).ok());
     auto remote = clusterd::Client::Standalone(&rpc, address);
 
@@ -1079,10 +1033,8 @@ TEST(MultiProcess, LoopbackRetwisSlice) {
     rpc.Stop();
   }
 
-  int wstatus = 0;
-  pid = guard.Release();
-  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
-  ASSERT_TRUE(WIFEXITED(wstatus)) << "server did not exit cleanly";
+  int wstatus = server.Wait();
+  ASSERT_TRUE(wstatus != -1 && WIFEXITED(wstatus)) << "server did not exit cleanly";
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 }
 

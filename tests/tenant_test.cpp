@@ -1,6 +1,6 @@
 // Tests for the multi-tenant QoS subsystem (src/tenant):
 //
-//   * spec parsing (LO_TENANTS / --tenants grammar),
+//   * spec parsing (the --tenants grammar),
 //   * token-bucket + in-flight + fuel-window admission with an injected
 //     clock,
 //   * FairQueue deficit-round-robin pop order (and its exact-FIFO

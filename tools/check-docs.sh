@@ -15,7 +15,11 @@
 #   6. every "--name= literal in the tests and benches names a flag that
 #      lambdastore-server or lambdastore-coordinator parses;
 #   7. every backticked metric name in docs/tuning.md's "Reading the obs
-#      metrics" section is still registered under src/.
+#      metrics" section is still registered under src/;
+#   8. every field of the options structs docs/tuning.md documents, and
+#      of net::RpcServerOptions and net::RpcClientOptions, is read (not
+#      only assigned) by some .cc or .cpp under src/ or tools/, so an
+#      option nothing reads cannot stay settable.
 set -u
 
 # Resolve the repo root from the script's own (symlink-free) location,
@@ -253,3 +257,45 @@ if [ -n "$stale_metrics" ]; then
   exit 1
 fi
 echo "every metric docs/tuning.md reads is registered under src/"
+
+# Unread options: a field some caller may set but no code reads is a
+# setting that does nothing. The structs are those docs/tuning.md heads
+# a section with, plus the transport's two. A field counts as read when
+# a .cc/.cpp under src/ or tools/ names it after "." or "->" anywhere but
+# as the target of an assignment.
+option_structs=$(
+  awk '/^## `[a-z]+::[A-Za-z]+`.*\(src\/[a-z_\/]+\.h\)/ {
+    match($0, /::[A-Za-z]+`/)
+    type = substr($0, RSTART + 2, RLENGTH - 3)
+    match($0, /\(src\/[a-z_\/]+\.h\)/)
+    print substr($0, RSTART + 1, RLENGTH - 2), type
+  }' "$tuning"
+  echo "src/net/rpc_server.h RpcServerOptions"
+  echo "src/net/rpc_client.h RpcClientOptions"
+)
+unread=$(
+  echo "$option_structs" | while read -r header type; do
+    awk -v t="$type" '
+      $0 ~ "^struct " t " [{]" { on = 1; next }
+      on && /^};/ { exit }
+      on && /^  [A-Za-z]/ && /;/ {
+        line = $0
+        sub(/[[:space:]]*\/\/.*$/, "", line)
+        sub(/[[:space:]]*(=[^=].*|[{].*)?;$/, "", line)
+        n = split(line, words, /[^A-Za-z0-9_]+/)
+        print words[n]
+      }
+    ' "$root/$header" | while read -r field; do
+      if ! grep -rhoE --include='*.cc' --include='*.cpp' \
+        "(\.|->)$field\b[[:space:]]*={0,2}" "$root/src" "$root/tools" |
+        grep -qvE '[^=]=$'; then
+        echo "UNREAD FIELD: $type::$field (declared in $header; nothing under src/ or tools/ reads it)"
+      fi
+    done
+  done
+)
+if [ -n "$unread" ]; then
+  echo "$unread"
+  exit 1
+fi
+echo "every documented options field is read by the code"

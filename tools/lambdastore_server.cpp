@@ -16,21 +16,19 @@
 // handler itself never blocks.
 //
 // Flags:
-//   --port=N         listen port; 0 = ephemeral (default; also LO_NET_PORT)
+//   --port=N         listen port; 0 = ephemeral (default)
 //   --db=PATH        persist under PATH with PosixEnv; default in-memory
 //   --net-threads=N  transport reactor threads, one SO_REUSEPORT
-//                    listener each (default from LO_NET_THREADS, else 1)
+//                    listener each (default 1)
 //   --coordinator=IP:PORT  join the cluster at this coordinator
 //   --advertise=HOST host peers/clients dial (default 127.0.0.1)
 //   --report-interval-ms=N  load-report/heartbeat cadence (default 200)
 //   --seed-users=N   pre-seed a ReTwis social graph with N users (on a
 //                    single-threaded DB, which is then reopened to serve)
 //   --seed-posts=N   initial posts per user for the seeded graph
-//   --block-cache-mb=N  SSTable block cache size (0 = off; default 8 MiB)
 //   --seed=N         workload generator seed (default 42)
-//   --tenants=SPEC   per-tenant QoS contracts (also LO_TENANTS), e.g.
+//   --tenants=SPEC   per-tenant QoS contracts, e.g.
 //                    "1:weight=4,rate=2000,burst=200,fuel=5000000,inflight=64;2:weight=1"
-//   --tenant-window-ms=N  fuel-budget window length (also LO_TENANT_WINDOW_MS)
 //
 // See docs/tuning.md for how these interact with the workload.
 //
@@ -69,10 +67,8 @@ struct Flags {
   uint64_t seed_users = 0;
   uint64_t seed_posts = 10;
   uint64_t seed = 42;
-  int64_t block_cache_mb = -1;  // -1 = DB default; 0 = off
-  std::string tenants;           // QoS spec; empty = tenancy off
-  int64_t tenant_window_ms = 1000;
-  int64_t net_threads = 0;       // 0 = LO_NET_THREADS, default 1
+  std::string tenants;  // QoS spec; empty = tenancy off
+  int64_t net_threads = 1;
 };
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -84,15 +80,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
-  if (const char* env_port = std::getenv("LO_NET_PORT")) {
-    flags.port = static_cast<uint16_t>(std::atoi(env_port));
-  }
-  if (const char* env_tenants = std::getenv("LO_TENANTS")) {
-    flags.tenants = env_tenants;
-  }
-  if (const char* env_window = std::getenv("LO_TENANT_WINDOW_MS")) {
-    flags.tenant_window_ms = std::atoll(env_window);
-  }
   for (int i = 1; i < argc; i++) {
     std::string value;
     if (ParseFlag(argv[i], "port", &value)) {
@@ -111,12 +98,8 @@ Flags ParseFlags(int argc, char** argv) {
       flags.seed_posts = std::stoull(value);
     } else if (ParseFlag(argv[i], "seed", &value)) {
       flags.seed = std::stoull(value);
-    } else if (ParseFlag(argv[i], "block-cache-mb", &value)) {
-      flags.block_cache_mb = std::stoll(value);
     } else if (ParseFlag(argv[i], "tenants", &value)) {
       flags.tenants = value;
-    } else if (ParseFlag(argv[i], "tenant-window-ms", &value)) {
-      flags.tenant_window_ms = std::stoll(value);
     } else if (ParseFlag(argv[i], "net-threads", &value)) {
       flags.net_threads = std::stoll(value);
     } else {
@@ -147,10 +130,6 @@ int main(int argc, char** argv) {
   db_options.env = flags.db_path.empty()
                        ? static_cast<lo::storage::Env*>(&mem_env)
                        : static_cast<lo::storage::Env*>(&posix_env);
-  if (flags.block_cache_mb >= 0) {
-    db_options.block_cache_bytes = static_cast<size_t>(flags.block_cache_mb)
-                                   << 20;
-  }
   std::string db_name = flags.db_path.empty() ? "/db" : flags.db_path;
   auto open_db = [&](bool shared) -> std::unique_ptr<lo::storage::DB> {
     db_options.serialize_access = shared;
@@ -197,9 +176,7 @@ int main(int argc, char** argv) {
   options.net_threads = static_cast<int>(flags.net_threads);
 
   // Multi-tenant QoS: outlives the node (handlers hold the pointer).
-  lo::tenant::TenantRegistry::Options tenant_options;
-  tenant_options.window_ms = flags.tenant_window_ms;
-  lo::tenant::TenantRegistry tenants(tenant_options);
+  lo::tenant::TenantRegistry tenants;
   if (!flags.tenants.empty()) {
     auto parsed = lo::tenant::ParseTenantSpec(flags.tenants);
     if (!parsed.ok()) {
